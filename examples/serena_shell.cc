@@ -101,6 +101,13 @@ bool IsDdl(const std::string& text) {
          lower == "insert" || lower == "delete" || lower == "drop";
 }
 
+/// Reads relation `name` as a one-shot scan would: a sys_* meta-relation
+/// is refreshed first.
+Result<const XRelation*> ReadRelation(Pems& pems, const std::string& name) {
+  SERENA_RETURN_NOT_OK(pems.queries().executor().RefreshScannedBy(Scan(name)));
+  return pems.env().GetRelation(name);
+}
+
 void RunStatement(Pems& pems, const std::string& statement) {
   if (IsDdl(statement)) {
     const Status status = pems.tables().ExecuteDdl(statement);
@@ -150,7 +157,7 @@ void RunCommand(Pems& pems, const std::string& line) {
       std::cout << "\n";
     }
   } else if (command == "\\show") {
-    auto relation = pems.env().GetRelation(arg);
+    auto relation = ReadRelation(pems, arg);
     if (!relation.ok()) {
       std::cout << relation.status() << "\n";
     } else {
@@ -215,7 +222,13 @@ void RunCommand(Pems& pems, const std::string& line) {
       return;
     }
     // Runs the query (active side effects included) and annotates each
-    // node with its actual rows, timings and invocation counts.
+    // node with its actual rows, timings and invocation counts. Like any
+    // one-shot, it reads freshly refreshed sys_* meta-relations.
+    const Status refreshed = pems.queries().executor().RefreshScannedBy(*plan);
+    if (!refreshed.ok()) {
+      std::cout << refreshed << "\n";
+      return;
+    }
     std::cout << ExplainAnalyzePlan(*plan, &pems.env(), &pems.streams());
   } else if (command == "\\validate") {
     auto plan = ParseAlgebra(arg);
@@ -488,7 +501,7 @@ void RunCommand(Pems& pems, const std::string& line) {
       std::cout << (status.ok() ? "loaded" : status.ToString()) << "\n";
     }
   } else if (command == "\\csv") {
-    auto relation = pems.env().GetRelation(arg);
+    auto relation = ReadRelation(pems, arg);
     if (!relation.ok()) {
       std::cout << relation.status() << "\n";
     } else {
@@ -504,9 +517,9 @@ void RunCommand(Pems& pems, const std::string& line) {
 
 int main() {
   auto pems = Pems::Create().MoveValueOrDie();
-  // The shell's PEMS observes itself: sys_metrics / sys_spans /
-  // sys_query_health refresh each tick and are queryable like any other
-  // relation (see docs/OBSERVABILITY.md).
+  // The shell's PEMS observes itself: the sys_* meta-relations are
+  // queryable like any other relation and refreshed whenever a query
+  // reads them (see docs/OBSERVABILITY.md).
   const Status meta_status = obs::RegisterMetaRelations(
       &pems->env(), &pems->queries().executor());
   if (!meta_status.ok()) {

@@ -235,7 +235,8 @@ std::string ExplainAnalyzePlan(const PlanPtr& plan, Environment* env,
   // the runtime statistics store. Flushed before rendering so the
   // "observed:" clause includes this very evaluation; "last run:" reads
   // the baseline map and cannot self-contaminate.
-  obs::StatsStore::Global().RecordPlan(*plan, collector);
+  obs::StatsStore::Global().RecordPlan(obs::FingerprintPlan(*plan),
+                                       collector);
 
   std::string out =
       RenderPlanWithStats(plan, *env, streams, collector, options.explain);

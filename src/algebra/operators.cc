@@ -575,7 +575,8 @@ Result<XRelation> Invoke(const XRelation& r, const BindingPattern& bp,
   std::vector<Result<TupleRows>> invocations = registry->InvokeMany(
       proto, requests, options.instant, options.pool,
       /*cancel_on_error=*/options.error_policy ==
-          InvocationErrorPolicy::kFail);
+          InvocationErrorPolicy::kFail,
+      options.tally);
 
   // Phase 3 (serial): splice results in input-tuple order so the output
   // relation, `failed_tuples`, and action emission are deterministic and

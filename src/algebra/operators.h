@@ -159,6 +159,9 @@ struct InvokeOptions {
   /// emission stay deterministic regardless of the pool: results are
   /// spliced serially in input-tuple order.
   ThreadPool* pool = nullptr;
+  /// If non-null, receives this call's logical invocations and memo hits
+  /// (the per-query share of the registry-wide counters).
+  InvocationTally* tally = nullptr;
 };
 
 Result<ExtendedSchemaPtr> InvokeSchema(const ExtendedSchemaPtr& schema,

@@ -86,13 +86,7 @@ Result<XRelation> PlanNode::Evaluate(EvalContext& ctx) const {
     span.emplace(std::string("op.") + PlanKindToString(kind()), ctx.instant);
   }
 
-  std::uint64_t invocations_before = 0;
-  std::uint64_t memo_hits_before = 0;
-  if (collect && ctx.env != nullptr) {
-    const InvocationStats before = ctx.env->registry().stats();
-    invocations_before = before.logical_invocations;
-    memo_hits_before = before.memo_hits;
-  }
+  const InvocationTally before = ctx.invocations;
   const std::uint64_t start_ns = obs::MonotonicNowNs();
   Result<XRelation> result = EvaluateDispatch(ctx);
   const std::uint64_t elapsed_ns = obs::MonotonicNowNs() - start_ns;
@@ -110,11 +104,9 @@ Result<XRelation> PlanNode::Evaluate(EvalContext& ctx) const {
     ++stats.evals;
     stats.rows_out += rows;
     stats.wall_ns += elapsed_ns;
-    if (ctx.env != nullptr) {
-      const InvocationStats after = ctx.env->registry().stats();
-      stats.invocations += after.logical_invocations - invocations_before;
-      stats.memo_hits += after.memo_hits - memo_hits_before;
-    }
+    stats.invocations += ctx.invocations.logical_invocations -
+                         before.logical_invocations;
+    stats.memo_hits += ctx.invocations.memo_hits - before.memo_hits;
     if (!result.ok()) ++stats.errors;
   }
   return result;
@@ -400,6 +392,7 @@ Result<XRelation> InvokeNode::EvaluateImpl(EvalContext& ctx) const {
   options.actions = ctx.actions;
   options.action_sink = ctx.action_sink;
   options.pool = ctx.pool;
+  options.tally = &ctx.invocations;
 
   // Streaming binding patterns (§7 extension): the service provides a
   // stream, so under continuous evaluation every standing tuple is
@@ -698,7 +691,9 @@ Result<QueryResult> Execute(const PlanPtr& plan, Environment* env,
       ctx.stats == nullptr && obs::MetricsRegistry::Global().enabled();
   if (record_stats) ctx.stats = &scratch;
   Result<XRelation> relation = plan->Evaluate(ctx);
-  if (record_stats) obs::StatsStore::Global().RecordPlan(*plan, scratch);
+  if (record_stats) {
+    obs::StatsStore::Global().RecordPlan(obs::FingerprintPlan(*plan), scratch);
+  }
   if (!relation.ok()) return relation.status();
   return QueryResult{std::move(*relation), std::move(actions)};
 }

@@ -157,6 +157,11 @@ struct EvalContext {
   /// Optional collector for input tuples whose invocation failed under
   /// `kSkipTuple` (the §4.2 retry set; surfaced by the flight recorder).
   std::vector<Tuple>* failed_tuples = nullptr;
+  /// Running totals of the service invocations issued through this
+  /// context. `Evaluate` charges each node the growth across its own
+  /// evaluation, so queries stepping concurrently on one registry never
+  /// count each other's calls.
+  InvocationTally invocations;
 };
 
 /// A query over a relational pervasive environment (Def. 7): an immutable

@@ -1,5 +1,6 @@
 #include "obs/meta.h"
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -189,24 +190,32 @@ Status RefreshFlightrec(Environment* env) {
 
 }  // namespace
 
-Status RefreshMetaRelations(Environment* env, const QueryHealth* health) {
+Status RefreshMetaRelations(Environment* env, const QueryHealth* health,
+                            const std::set<std::string>& relations) {
   if (env == nullptr) return Status::InvalidArgument("null environment");
-  if (env->HasRelation(kSysMetricsRelation)) {
-    SERENA_RETURN_NOT_OK(RefreshMetrics(env));
-  }
-  if (env->HasRelation(kSysSpansRelation)) {
-    SERENA_RETURN_NOT_OK(RefreshSpans(env));
-  }
-  if (env->HasRelation(kSysQueryHealthRelation)) {
-    SERENA_RETURN_NOT_OK(RefreshQueryHealth(env, health));
-  }
-  if (env->HasRelation(kSysOperatorStatsRelation)) {
-    SERENA_RETURN_NOT_OK(RefreshOperatorStats(env));
-  }
-  if (env->HasRelation(kSysFlightrecRelation)) {
-    SERENA_RETURN_NOT_OK(RefreshFlightrec(env));
+  for (const std::string& name : relations) {
+    // Most scanned relations are ordinary ones: test the name first.
+    if (name.rfind("sys_", 0) != 0 || !env->HasRelation(name)) continue;
+    if (name == kSysMetricsRelation) {
+      SERENA_RETURN_NOT_OK(RefreshMetrics(env));
+    } else if (name == kSysSpansRelation) {
+      SERENA_RETURN_NOT_OK(RefreshSpans(env));
+    } else if (name == kSysQueryHealthRelation) {
+      SERENA_RETURN_NOT_OK(RefreshQueryHealth(env, health));
+    } else if (name == kSysOperatorStatsRelation) {
+      SERENA_RETURN_NOT_OK(RefreshOperatorStats(env));
+    } else if (name == kSysFlightrecRelation) {
+      SERENA_RETURN_NOT_OK(RefreshFlightrec(env));
+    }
   }
   return Status::OK();
+}
+
+Status RefreshMetaRelations(Environment* env, const QueryHealth* health) {
+  return RefreshMetaRelations(
+      env, health,
+      {kSysMetricsRelation, kSysSpansRelation, kSysQueryHealthRelation,
+       kSysOperatorStatsRelation, kSysFlightrecRelation});
 }
 
 Status RegisterMetaRelations(Environment* env,
@@ -235,13 +244,15 @@ Status RegisterMetaRelations(Environment* env,
   SERENA_RETURN_NOT_OK(RefreshMetaRelations(
       env, executor != nullptr ? &executor->health() : nullptr));
   if (executor != nullptr) {
-    // The source runs serially before any query steps, so every query of
-    // a tick sees one consistent telemetry snapshot (taken at tick
-    // start; a query's view of sys_* therefore describes the state as of
-    // the previous tick's end).
-    executor->AddSource([env, executor](Timestamp) {
-      return RefreshMetaRelations(env, &executor->health());
-    });
+    // The executor runs the refresher serially before any query steps,
+    // over the relations its standing queries scan, so every query of a
+    // tick sees one consistent telemetry snapshot (taken at tick start; a
+    // query's view of sys_* therefore describes the state as of the
+    // previous tick's end). One-shots call it for what they scan.
+    executor->set_refresher(
+        [env, executor](const std::set<std::string>& relations) {
+          return RefreshMetaRelations(env, &executor->health(), relations);
+        });
   }
   return Status::OK();
 }

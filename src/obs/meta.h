@@ -1,6 +1,9 @@
 #ifndef SERENA_OBS_META_H_
 #define SERENA_OBS_META_H_
 
+#include <set>
+#include <string>
+
 #include "common/result.h"
 
 namespace serena {
@@ -13,9 +16,10 @@ namespace obs {
 
 /// Names of the built-in meta-relations ("the PEMS observing itself"):
 /// virtual X-Relations whose contents are refreshed from telemetry
-/// snapshots at the start of every executor tick, so ordinary standing
-/// Serena queries can monitor the runtime — e.g.
-/// `select[streak >= 3](sys_query_health)`.
+/// snapshots when something reads them — at the start of every executor
+/// tick for those a standing query scans, just before evaluation for
+/// those a one-shot scans — so ordinary Serena queries can monitor the
+/// runtime, e.g. `select[streak >= 3](sys_query_health)`.
 inline constexpr char kSysMetricsRelation[] = "sys_metrics";
 inline constexpr char kSysSpansRelation[] = "sys_spans";
 inline constexpr char kSysQueryHealthRelation[] = "sys_query_health";
@@ -23,8 +27,12 @@ inline constexpr char kSysOperatorStatsRelation[] = "sys_operator_stats";
 inline constexpr char kSysFlightrecRelation[] = "sys_flightrec";
 
 /// Creates the five meta-relations in `env` (skipping ones that already
-/// exist) and registers an executor source that refreshes them each tick
-/// before any query steps. Schemas:
+/// exist), fills them once, and installs the executor's refresher
+/// (`ContinuousExecutor::set_refresher`): each tick, before any query
+/// steps, it rebuilds the meta-relations the standing queries scan, and
+/// `ContinuousExecutor::RefreshScannedBy` rebuilds those a one-shot plan
+/// scans. A meta-relation nothing reads is left as last refreshed.
+/// Schemas:
 ///
 ///   sys_metrics(metric STRING, kind STRING, value REAL)
 ///     — one row per counter/gauge; histograms expand to `.count`,
@@ -58,10 +66,15 @@ inline constexpr char kSysFlightrecRelation[] = "sys_flightrec";
 /// type (URSA).
 Status RegisterMetaRelations(Environment* env, ContinuousExecutor* executor);
 
-/// Rebuilds the meta-relations' contents from the current telemetry
-/// snapshots (global metrics registry + trace buffer + `health`, which
-/// may be null). Relations missing from `env` are skipped. Called by the
-/// registered source every tick; call directly for an on-demand refresh.
+/// Rebuilds the meta-relations named in `relations` from the current
+/// telemetry snapshots (global metrics registry + trace buffer + stats
+/// store + journal health + `health`, which may be null). Other names,
+/// and meta-relations missing from `env`, are skipped. This is the
+/// executor refresher `RegisterMetaRelations` installs.
+Status RefreshMetaRelations(Environment* env, const QueryHealth* health,
+                            const std::set<std::string>& relations);
+
+/// Rebuilds every meta-relation present in `env`, read or not.
 Status RefreshMetaRelations(Environment* env, const QueryHealth* health);
 
 }  // namespace obs

@@ -99,16 +99,8 @@ StatsStore& StatsStore::Global() {
   return *store;
 }
 
-void StatsStore::RecordPlan(const PlanNode& root,
-                            const PlanStatsCollector& collector) {
-  // Collect the merge outside the lock; fingerprinting renders each
-  // subtree and is the expensive part.
-  struct Update {
-    const PlanNode* node;
-    const NodeRuntimeStats* stats;
-    std::uint64_t rows_in;
-  };
-  std::vector<Update> updates;
+std::vector<FingerprintedNode> FingerprintPlan(const PlanNode& root) {
+  std::vector<FingerprintedNode> nodes;
   std::unordered_set<const PlanNode*> seen;
   // Iterative DFS; plans are shallow but shared subtrees must merge once.
   std::vector<const PlanNode*> pending = {&root};
@@ -116,29 +108,49 @@ void StatsStore::RecordPlan(const PlanNode& root,
     const PlanNode* node = pending.back();
     pending.pop_back();
     if (!seen.insert(node).second) continue;
-    const std::vector<PlanPtr> children = node->children();
-    std::uint64_t rows_in = 0;
-    for (const PlanPtr& child : children) {
-      if (const NodeRuntimeStats* stats = collector.Find(child.get())) {
-        rows_in += stats->rows_out;
-      }
+    FingerprintedNode entry{node, OperatorFingerprint(*node), {}};
+    for (const PlanPtr& child : node->children()) {
+      entry.children.push_back(child.get());
       pending.push_back(child.get());
     }
-    if (const NodeRuntimeStats* stats = collector.Find(node)) {
-      if (stats->evals > 0) updates.push_back({node, stats, rows_in});
+    nodes.push_back(std::move(entry));
+  }
+  return nodes;
+}
+
+void StatsStore::RecordPlan(const std::vector<FingerprintedNode>& nodes,
+                            const PlanStatsCollector& collector) {
+  // Resolve this evaluation's actuals outside the lock; `mu_` guards only
+  // the merge into `operators_`.
+  struct Update {
+    const FingerprintedNode* entry;
+    const NodeRuntimeStats* stats;
+    std::uint64_t rows_in;
+  };
+  std::vector<Update> updates;
+  updates.reserve(nodes.size());
+  for (const FingerprintedNode& entry : nodes) {
+    const NodeRuntimeStats* stats = collector.Find(entry.node);
+    if (stats == nullptr || stats->evals == 0) continue;
+    std::uint64_t rows_in = 0;
+    for (const PlanNode* child : entry.children) {
+      if (const NodeRuntimeStats* child_stats = collector.Find(child)) {
+        rows_in += child_stats->rows_out;
+      }
     }
+    updates.push_back({&entry, stats, rows_in});
   }
   if (updates.empty()) return;
 
   std::lock_guard<std::mutex> lock(mu_);
   for (const Update& update : updates) {
-    const std::string fingerprint = OperatorFingerprint(*update.node);
-    OperatorStats& op = operators_[fingerprint];
+    const PlanNode& node = *update.entry->node;
+    OperatorStats& op = operators_[update.entry->fingerprint];
     if (op.fingerprint.empty()) {
-      op.fingerprint = fingerprint;
-      op.kind = PlanKindToString(update.node->kind());
-      op.label = TruncatedLabel(update.node->ToString());
-      op.prototype = NodePrototype(*update.node);
+      op.fingerprint = update.entry->fingerprint;
+      op.kind = PlanKindToString(node.kind());
+      op.label = TruncatedLabel(node.ToString());
+      op.prototype = NodePrototype(node);
     }
     op.evals += update.stats->evals;
     op.rows_in += update.rows_in;

@@ -103,6 +103,21 @@ struct BetaLatencyProfile {
 /// that lets a persisted statistics file describe the *next* run's plans.
 std::string OperatorFingerprint(const PlanNode& node);
 
+/// One distinct node of a plan with its `OperatorFingerprint` and its
+/// children, precomputed so recording an evaluation renders nothing.
+struct FingerprintedNode {
+  const PlanNode* node;
+  std::string fingerprint;
+  std::vector<const PlanNode*> children;
+};
+
+/// Every distinct node under `root` (a shared subtree appears once) with
+/// its fingerprint. Plans are immutable, so a plan evaluated repeatedly
+/// (a standing query) computes this once and passes it to every
+/// `StatsStore::RecordPlan`; the result refers to `root`'s nodes and
+/// must not outlive the plan.
+std::vector<FingerprintedNode> FingerprintPlan(const PlanNode& root);
+
 /// The process-wide runtime statistics store ("gen 3" observability):
 /// per-operator cardinality/selectivity/latency aggregates keyed by
 /// fingerprint, fed by every instrumented evaluation path (one-shot
@@ -115,7 +130,8 @@ std::string OperatorFingerprint(const PlanNode& node);
 /// rewrites it — so consecutive runs see each other's statistics, and
 /// EXPLAIN ANALYZE can annotate observed-vs-last-run deltas.
 ///
-/// Thread-safe; recording takes one mutex per *plan* (not per node).
+/// Thread-safe; recording takes one mutex per *plan* (not per node), held
+/// only to merge counters.
 class StatsStore {
  public:
   StatsStore();
@@ -126,11 +142,14 @@ class StatsStore {
   /// The process-wide store used by all built-in instrumentation.
   static StatsStore& Global();
 
-  /// Aggregates one evaluation's per-node actuals into the store. The
-  /// collector must hold *deltas* for exactly the evaluations being
-  /// recorded (the callers pass per-evaluation scratch collectors);
-  /// `rows_in` is derived as the sum of each node's children's outputs.
-  void RecordPlan(const PlanNode& root, const PlanStatsCollector& collector);
+  /// Aggregates one evaluation's per-node actuals into the store, keyed by
+  /// the precomputed fingerprints of `nodes` (`FingerprintPlan` of the
+  /// evaluated plan). The collector must hold *deltas* for exactly the
+  /// evaluations being recorded (the callers pass per-evaluation scratch
+  /// collectors); `rows_in` is derived as the sum of each node's
+  /// children's outputs.
+  void RecordPlan(const std::vector<FingerprintedNode>& nodes,
+                  const PlanStatsCollector& collector);
 
   /// All live records, most expensive (total wall time) first.
   std::vector<OperatorStats> Snapshot() const;

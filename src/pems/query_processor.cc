@@ -89,6 +89,8 @@ Result<PlanPtr> QueryProcessor::OptimizePlan(PlanPtr plan,
 Result<QueryResult> QueryProcessor::ExecuteOneShot(
     std::string_view algebra) {
   SERENA_ASSIGN_OR_RETURN(PlanPtr plan, ParseAlgebra(algebra));
+  // Fresh sys_* telemetry, one snapshot for analysis and evaluation.
+  SERENA_RETURN_NOT_OK(executor_.RefreshScannedBy(plan));
   SERENA_RETURN_NOT_OK(GatePlan(plan, AnalysisContext::kOneShot));
   SERENA_ASSIGN_OR_RETURN(
       plan, OptimizePlan(std::move(plan), AnalysisContext::kOneShot));
@@ -114,6 +116,7 @@ Result<QueryResult> QueryProcessor::ExecutePrepared(
   }
   SERENA_ASSIGN_OR_RETURN(PlanPtr bound,
                           BindParameters(it->second, parameters));
+  SERENA_RETURN_NOT_OK(executor_.RefreshScannedBy(bound));
   // The gate runs on the *bound* plan: templates legitimately carry
   // unbound parameters until here.
   SERENA_RETURN_NOT_OK(GatePlan(bound, AnalysisContext::kOneShot));

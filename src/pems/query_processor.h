@@ -59,14 +59,16 @@ class QueryProcessor {
   bool analyze() const { return analyze_; }
 
   /// Parses, optimizes and executes a one-shot query at the current
-  /// instant.
+  /// instant. The sys_* meta-relations it scans are refreshed first
+  /// (`ContinuousExecutor::RefreshScannedBy`).
   Result<QueryResult> ExecuteOneShot(std::string_view algebra);
 
   /// Parses and stores a parameterized query template under `name`
   /// (prepared-statement pattern; parameters are `:name` placeholders).
   Status Prepare(const std::string& name, std::string_view algebra);
 
-  /// Binds `parameters` into a prepared template, optimizes and executes.
+  /// Binds `parameters` into a prepared template, optimizes and executes
+  /// (refreshing scanned meta-relations like `ExecuteOneShot`).
   Result<QueryResult> ExecutePrepared(
       const std::string& name,
       const std::map<std::string, Value>& parameters);

@@ -200,7 +200,7 @@ void ServiceRegistry::RefreshInstantLocked(Timestamp now) {
 Result<TupleRows> ServiceRegistry::InvokeMemoized(
     const Prototype& prototype, const std::string& service_ref,
     const Tuple& input, Timestamp now,
-    const PrototypeInstruments& instruments) {
+    const PrototypeInstruments& instruments, InvocationTally* tally) {
   MemoKey key{prototype.name(), service_ref, input};
   const bool tracing = obs::TraceBuffer::Global().enabled();
   for (;;) {
@@ -252,6 +252,7 @@ Result<TupleRows> ServiceRegistry::InvokeMemoized(
     }();
     if (result.ok()) {
       stats_.memo_hits.fetch_add(1, std::memory_order_relaxed);
+      if (tally != nullptr) ++tally->memo_hits;
       if (instruments.memo_hits != nullptr) {
         instruments.memo_hits->Increment();
       }
@@ -275,12 +276,14 @@ Result<TupleRows> ServiceRegistry::Invoke(const Prototype& prototype,
     RefreshInstantLocked(now);
     stats_.logical_invocations.fetch_add(1, std::memory_order_relaxed);
   }
-  return InvokeMemoized(prototype, service_ref, input, now, instruments);
+  return InvokeMemoized(prototype, service_ref, input, now, instruments,
+                        /*tally=*/nullptr);
 }
 
 std::vector<Result<TupleRows>> ServiceRegistry::InvokeMany(
     const Prototype& prototype, std::span<const InvocationRequest> requests,
-    Timestamp now, ThreadPool* pool, bool cancel_on_error) {
+    Timestamp now, ThreadPool* pool, bool cancel_on_error,
+    InvocationTally* tally) {
   const PrototypeInstruments instruments = InstrumentsFor(prototype.name());
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   if (metrics.enabled()) {
@@ -325,12 +328,14 @@ std::vector<Result<TupleRows>> ServiceRegistry::InvokeMany(
         continue;
       }
       stats_.logical_invocations.fetch_add(1, std::memory_order_relaxed);
+      if (tally != nullptr) ++tally->logical_invocations;
       MemoKey key{prototype.name(), request.service_ref, request.input};
       // Batch-internal duplicates group before consulting the memo so a
       // duplicate of a failing request shares the failure (see header).
       const auto pending_it = pending.find(key);
       if (pending_it != pending.end()) {
         stats_.memo_hits.fetch_add(1, std::memory_order_relaxed);
+        if (tally != nullptr) ++tally->memo_hits;
         if (instruments.memo_hits != nullptr) {
           instruments.memo_hits->Increment();
         }
@@ -413,6 +418,7 @@ std::vector<Result<TupleRows>> ServiceRegistry::InvokeMany(
     }();
     if (result.ok()) {
       stats_.memo_hits.fetch_add(1, std::memory_order_relaxed);
+      if (tally != nullptr) ++tally->memo_hits;
       if (instruments.memo_hits != nullptr) {
         instruments.memo_hits->Increment();
       }
@@ -421,8 +427,9 @@ std::vector<Result<TupleRows>> ServiceRegistry::InvokeMany(
       // The owner failed; retry physically (logical invocation already
       // counted above).
       const InvocationRequest& request = requests[await.index];
-      results[await.index] = InvokeMemoized(
-          prototype, request.service_ref, request.input, now, instruments);
+      results[await.index] =
+          InvokeMemoized(prototype, request.service_ref, request.input, now,
+                         instruments, tally);
     }
   }
   return results;

@@ -49,6 +49,14 @@ struct InvocationStats {
   std::uint64_t failed_invocations = 0;
 };
 
+/// One caller's share of the registry-wide counters above: the logical
+/// invocations and memo hits its own requests produced. Concurrent
+/// callers each keep their own tally, so neither sees the other's calls.
+struct InvocationTally {
+  std::uint64_t logical_invocations = 0;
+  std::uint64_t memo_hits = 0;
+};
+
 /// Reference-counted invocation result rows. §3.2 instant determinism
 /// makes a memoized result immutable for the rest of the instant, so memo
 /// hits hand out the same underlying vector instead of copying it.
@@ -137,11 +145,13 @@ class ServiceRegistry {
   /// (nullptr = `ThreadPool::Shared()`; a serial pool dispatches in
   /// request order). With `cancel_on_error`, the first physical failure
   /// stops not-yet-started physical calls; those return a status for
-  /// which `IsCancelled()` is true.
+  /// which `IsCancelled()` is true. A non-null `tally` additionally
+  /// receives this batch's logical invocations and memo hits.
   std::vector<Result<TupleRows>> InvokeMany(
       const Prototype& prototype,
       std::span<const InvocationRequest> requests, Timestamp now,
-      ThreadPool* pool = nullptr, bool cancel_on_error = false);
+      ThreadPool* pool = nullptr, bool cancel_on_error = false,
+      InvocationTally* tally = nullptr);
 
   /// True for the status of a batch entry that was skipped because an
   /// earlier failure cancelled the rest of its batch.
@@ -231,11 +241,13 @@ class ServiceRegistry {
                                const PrototypeInstruments& instruments);
 
   /// One memoized invocation with single-flight semantics (see class
-  /// comment). Does NOT count the logical invocation — callers do.
+  /// comment). Does NOT count the logical invocation — callers do. A memo
+  /// hit is also added to `tally` when non-null.
   Result<TupleRows> InvokeMemoized(const Prototype& prototype,
                                    const std::string& service_ref,
                                    const Tuple& input, Timestamp now,
-                                   const PrototypeInstruments& instruments);
+                                   const PrototypeInstruments& instruments,
+                                   InvocationTally* tally);
 
   /// Drops the memo when the instant advanced. Caller holds `memo_mu_`.
   void RefreshInstantLocked(Timestamp now);

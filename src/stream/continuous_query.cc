@@ -56,7 +56,9 @@ Result<XRelation> ContinuousQuery::Step(Environment* env,
   if (track) ctx.stats = &step_stats;
   Result<XRelation> evaluated = plan_->Evaluate(ctx);
   if (track) {
-    obs::StatsStore::Global().RecordPlan(*plan_, step_stats);
+    // The plan never changes, so its fingerprints are rendered once.
+    if (fingerprints_.empty()) fingerprints_ = obs::FingerprintPlan(*plan_);
+    obs::StatsStore::Global().RecordPlan(fingerprints_, step_stats);
     stats_.MergeFrom(step_stats);
   }
   SERENA_ASSIGN_OR_RETURN(XRelation result, std::move(evaluated));

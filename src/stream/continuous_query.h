@@ -8,6 +8,7 @@
 
 #include "algebra/plan.h"
 #include "algebra/tuple_batch.h"
+#include "obs/stats.h"
 
 namespace serena {
 
@@ -110,6 +111,8 @@ class ContinuousQuery {
   std::vector<Tuple> last_failed_tuples_;
   std::uint64_t steps_ = 0;
   PlanStatsCollector stats_;
+  /// `obs::FingerprintPlan(*plan_)`, computed on the first recorded step.
+  std::vector<obs::FingerprintedNode> fingerprints_;
   std::uint64_t leaf_rows_total_ = 0;
   std::uint64_t last_rows_in_ = 0;
   std::uint64_t last_rows_out_ = 0;

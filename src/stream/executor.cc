@@ -94,9 +94,13 @@ Status ContinuousExecutor::Register(ContinuousQueryPtr query) {
   }
   Entry entry;
   std::map<std::string, WindowDemand> demands;
-  CollectWindows(query->plan(), &demands);
+  std::set<std::string> scans;
+  CollectLeaves(query->plan(), &demands, &scans);
   for (const auto& [stream, demand] : demands) {
     entry.reads.push_back(stream);
+  }
+  for (const std::string& relation : scans) {
+    if (scan_counts_[relation]++ == 0) scanned_relations_.insert(relation);
   }
   entry.query = std::move(query);
   entries_.push_back(std::move(entry));
@@ -108,6 +112,14 @@ Status ContinuousExecutor::Register(ContinuousQueryPtr query) {
 Status ContinuousExecutor::Unregister(const std::string& name) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->query->name() == name) {
+      std::set<std::string> scans;
+      CollectLeaves(it->query->plan(), /*demands=*/nullptr, &scans);
+      for (const std::string& relation : scans) {
+        if (--scan_counts_[relation] == 0) {
+          scan_counts_.erase(relation);
+          scanned_relations_.erase(relation);
+        }
+      }
       entries_.erase(it);
       RebuildSchedule();
       health_.Unregister(name);
@@ -134,10 +146,14 @@ std::vector<std::string> ContinuousExecutor::QueryNames() const {
   return names;
 }
 
-void ContinuousExecutor::CollectWindows(
-    const PlanPtr& plan, std::map<std::string, WindowDemand>* demands) {
+void ContinuousExecutor::CollectLeaves(
+    const PlanPtr& plan, std::map<std::string, WindowDemand>* demands,
+    std::set<std::string>* scans) {
   if (plan == nullptr) return;
-  if (plan->kind() == PlanKind::kWindow) {
+  if (plan->kind() == PlanKind::kScan && scans != nullptr) {
+    scans->insert(static_cast<const ScanNode*>(plan.get())->relation());
+  }
+  if (plan->kind() == PlanKind::kWindow && demands != nullptr) {
     const auto* node = static_cast<const WindowNode*>(plan.get());
     WindowDemand& demand = (*demands)[node->stream()];
     if (node->mode() == WindowMode::kRows) {
@@ -148,14 +164,21 @@ void ContinuousExecutor::CollectWindows(
     }
   }
   for (const PlanPtr& child : plan->children()) {
-    CollectWindows(child, demands);
+    CollectLeaves(child, demands, scans);
   }
+}
+
+Status ContinuousExecutor::RefreshScannedBy(const PlanPtr& plan) const {
+  if (!refresher_) return Status::OK();
+  std::set<std::string> scans;
+  CollectLeaves(plan, /*demands=*/nullptr, &scans);
+  return refresher_(scans);
 }
 
 void ContinuousExecutor::RebuildSchedule() {
   window_demand_.clear();
   for (const Entry& entry : entries_) {
-    CollectWindows(entry.query->plan(), &window_demand_);
+    CollectLeaves(entry.query->plan(), &window_demand_, /*scans=*/nullptr);
   }
 
   // Dependency levels: query j (registered earlier) must finish before
@@ -192,6 +215,13 @@ Timestamp ContinuousExecutor::Tick() {
   health_.SetNow(now);
   for (TickObserver* observer : tick_observers_) observer->OnTickBegin(now);
 
+  if (refresher_) {
+    const Status status = refresher_(scanned_relations_);
+    if (!status.ok()) {
+      SERENA_LOG(Warning) << "relation refresh failed at instant " << now
+                          << ": " << status;
+    }
+  }
   for (const auto& [token, entry] : sources_) {
     const Status status = entry.source(now);
     if (!status.ok()) {

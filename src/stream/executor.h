@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,10 +15,11 @@
 namespace serena {
 
 /// The continuous-query executor: drives the environment's logical clock
-/// and, at every tick, first runs the registered *sources* (callbacks that
-/// feed streams — e.g. sensor pumps, RSS pollers), then steps every
-/// registered continuous query, then prunes stream history no window can
-/// reach anymore.
+/// and, at every tick, first refreshes the computed relations its queries
+/// read (see `set_refresher`), then runs the registered *sources*
+/// (callbacks that feed streams — e.g. sensor pumps, RSS pollers), then
+/// steps every registered continuous query, then prunes stream history no
+/// window can reach anymore.
 ///
 /// Queries can be registered and unregistered while the executor runs —
 /// this is how the PEMS executes standing queries over a changing
@@ -77,6 +79,25 @@ class ContinuousExecutor {
   /// Streams any registered source declared it feeds, sorted and
   /// deduplicated.
   std::vector<std::string> SourceFedStreams() const;
+
+  /// Recomputes relations derived from live state — the sys_*
+  /// meta-relations (obs/meta.h) — given the names of relations about to
+  /// be read; names it does not compute are skipped.
+  using Refresher =
+      std::function<Status(const std::set<std::string>& relations)>;
+
+  /// Installs the refresher, replacing any previous one. Each tick runs
+  /// it before any source over the relations the registered queries
+  /// scan, so every query of the tick reads one snapshot taken at tick
+  /// start and relations no standing query reads cost nothing.
+  void set_refresher(Refresher refresher) {
+    refresher_ = std::move(refresher);
+  }
+
+  /// Runs the refresher (if any) over the relations `plan` scans. One-shot
+  /// paths call this before they analyze and evaluate a plan, so they
+  /// read fresh telemetry rather than the last tick's snapshot.
+  Status RefreshScannedBy(const PlanPtr& plan) const;
 
   /// Registers a continuous query under its name. Dependent queries are
   /// evaluated in registration order each tick, so upstream stages of a
@@ -149,8 +170,11 @@ class ContinuousExecutor {
     obs::Histogram* step_histogram = nullptr;
   };
 
-  static void CollectWindows(const PlanPtr& plan,
-                             std::map<std::string, WindowDemand>* demands);
+  /// Walks `plan`'s leaves: widens `demands` (when non-null) by its
+  /// windows and adds the relations it scans to `scans` (when non-null).
+  static void CollectLeaves(const PlanPtr& plan,
+                            std::map<std::string, WindowDemand>* demands,
+                            std::set<std::string>* scans);
 
   /// Recomputes `schedule_` (dependency levels over `entries_`) and
   /// `window_demand_` (per-stream prune horizon). Called whenever the
@@ -176,6 +200,11 @@ class ContinuousExecutor {
   // Widest window any registered query places on each stream, maintained
   // at (un)registration instead of re-walking every plan per tick.
   std::map<std::string, WindowDemand> window_demand_;
+  // Relations any registered query scans, with the number of queries
+  // scanning each: registration updates them in O(new query).
+  std::set<std::string> scanned_relations_;
+  std::map<std::string, std::size_t> scan_counts_;
+  Refresher refresher_;
   std::map<std::string, Status> last_errors_;
   std::vector<TickObserver*> tick_observers_;
   QueryHealth health_;

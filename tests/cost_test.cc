@@ -176,7 +176,7 @@ TEST_F(CostTest, LearnedBackendUsesObservedCardinalities) {
   ctx.streams = &scenario_->streams();
   ctx.stats = &collector;
   ASSERT_TRUE(select->Evaluate(ctx).ok());
-  store.RecordPlan(*select, collector);
+  store.RecordPlan(obs::FingerprintPlan(*select), collector);
 
   auto learned =
       MakeLearnedCostModel(&scenario_->env(), &scenario_->streams());

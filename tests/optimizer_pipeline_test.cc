@@ -212,7 +212,7 @@ TEST_F(OptimizerPipelineTest, EnumeratedPlansAreDeterministicGivenStats) {
   ctx.streams = &streams();
   ctx.stats = &collector;
   ASSERT_TRUE(plan->Evaluate(ctx).ok());
-  store.RecordPlan(*plan, collector);
+  store.RecordPlan(obs::FingerprintPlan(*plan), collector);
 
   std::set<std::string> outputs;
   for (int run = 0; run < 5; ++run) {
@@ -239,7 +239,7 @@ TEST_F(OptimizerPipelineTest, RestructuredPlansKeepTheirStatistics) {
   ctx.streams = &streams();
   ctx.stats = &collector;
   ASSERT_TRUE(plan->Evaluate(ctx).ok());
-  store.RecordPlan(*plan, collector);
+  store.RecordPlan(obs::FingerprintPlan(*plan), collector);
   ASSERT_FALSE(store.Find(obs::OperatorFingerprint(*plan))->evals == 0);
 
   OptimizerOptions options = OptimizerOptions::FromStages("cost").ValueOrDie();

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -11,7 +12,9 @@
 
 #include "algebra/operators.h"
 #include "common/thread_pool.h"
+#include "ddl/algebra_parser.h"
 #include "env/scenario.h"
+#include "obs/metrics.h"
 #include "service/lambda_service.h"
 #include "stream/executor.h"
 
@@ -292,6 +295,91 @@ TEST(ParallelInvokeTest, DerivedStreamPipelineKeepsProducerBeforeConsumer) {
       [&](Timestamp t) { return scenario->PumpTemperatureStream(t); });
   executor.Run(3);
   EXPECT_TRUE(executor.last_errors().empty());
+}
+
+/// Each node of a standing query's plan (preorder) with the invocation
+/// and memo-hit counts its EXPLAIN ANALYZE actuals hold.
+std::vector<std::string> PerNodeInvocations(const ContinuousQuery& query) {
+  std::vector<std::string> out;
+  std::function<void(const PlanPtr&)> visit = [&](const PlanPtr& node) {
+    const NodeRuntimeStats* stats = query.stats().Find(node.get());
+    out.push_back(node->ToString() + " invocations=" +
+                  std::to_string(stats != nullptr ? stats->invocations : 0) +
+                  " memo_hits=" +
+                  std::to_string(stats != nullptr ? stats->memo_hits : 0));
+    for (const PlanPtr& child : node->children()) visit(child);
+  };
+  visit(query.plan());
+  return out;
+}
+
+TEST(ParallelInvokeTest, ConcurrentQueriesCountOnlyTheirOwnInvocations) {
+  // Two standing queries in one dependency level invoke disjoint services
+  // (svc0/svc1 vs svc2/svc3, 20 ms each, so their steps overlap on a
+  // threaded pool). Per-node counts must be each query's own calls,
+  // exactly as in a serial (SERENA_THREADS=0) run.
+  obs::MetricsRegistry::Global().set_enabled(true);
+  const auto run = [](std::size_t threads) {
+    Environment env;
+    const PrototypePtr proto = MakeProbePrototype();
+    EXPECT_TRUE(env.AddPrototype(proto).ok());
+    for (int i = 0; i < 4; ++i) {
+      auto service = std::make_shared<LambdaService>("svc" + std::to_string(i));
+      service->AddMethod(proto, [i](const Tuple& input, Timestamp)
+                                    -> Result<std::vector<Tuple>> {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::vector<Tuple>{
+            Tuple{Value::Int(input[0].int_value() * 10 + i)}};
+      });
+      EXPECT_TRUE(env.registry().Register(std::move(service)).ok());
+    }
+    // Rows 1 and 2 share (svc, x): one physical call plus one memo hit.
+    for (const auto& [name, first] :
+         std::vector<std::pair<std::string, int>>{{"left", 0}, {"right", 2}}) {
+      auto schema = ExtendedSchema::Create(
+                        name,
+                        {{"svc", DataType::kService},
+                         {"x", DataType::kInt},
+                         {"tag", DataType::kString},
+                         {"y", DataType::kInt, AttributeKind::kVirtual}},
+                        {BindingPattern(proto, "svc")})
+                        .ValueOrDie();
+      XRelation relation(schema);
+      const auto row = [&](int svc, int x, const char* tag) {
+        return Tuple{Value::String("svc" + std::to_string(svc)), Value::Int(x),
+                     Value::String(tag)};
+      };
+      EXPECT_TRUE(relation.Insert(row(first, 1, "a")).ok());
+      EXPECT_TRUE(relation.Insert(row(first, 1, "b")).ok());
+      EXPECT_TRUE(relation.Insert(row(first + 1, 2, "a")).ok());
+      EXPECT_TRUE(env.PutRelation(std::move(relation)).ok());
+    }
+
+    StreamStore streams;
+    ContinuousExecutor executor(&env, &streams);
+    ThreadPool pool(threads);
+    executor.set_pool(&pool);
+    std::vector<ContinuousQueryPtr> queries;
+    for (const std::string name : {"left", "right"}) {
+      queries.push_back(std::make_shared<ContinuousQuery>(
+          name, Select(Invoke(Scan(name), "probe"),
+                       ParseFormula("y >= 0").ValueOrDie())));
+      EXPECT_TRUE(executor.Register(queries.back()).ok());
+    }
+    executor.Run(2);
+    EXPECT_TRUE(executor.last_errors().empty());
+    return std::make_pair(PerNodeInvocations(*queries[0]),
+                          PerNodeInvocations(*queries[1]));
+  };
+
+  const auto serial = run(/*threads=*/0);
+  const auto threaded = run(/*threads=*/4);
+  // Each query's own calls: 3 logical invocations, 1 of them a memo hit.
+  ASSERT_EQ(serial.first.size(), 3u);
+  EXPECT_EQ(serial.first[0], "select[y >= 0](invoke[probe](left)) "
+                             "invocations=3 memo_hits=1");
+  EXPECT_EQ(threaded.first, serial.first);
+  EXPECT_EQ(threaded.second, serial.second);
 }
 
 }  // namespace

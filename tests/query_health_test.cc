@@ -1,8 +1,9 @@
 // Per-query health tracking and the self-observability meta-relations:
-// lag/streak semantics, executor integration, and the acceptance
-// scenario — a standing Serena query over `sys_query_health` detecting a
-// persistently failing query within two ticks of its streak crossing the
-// alert threshold.
+// lag/streak semantics, executor integration, on-demand refresh (a tick
+// rebuilds only the sys_* relations standing queries scan; one-shots
+// refresh what they scan), and the acceptance scenario — a standing
+// Serena query over `sys_query_health` detecting a persistently failing
+// query within two ticks of its streak crossing the alert threshold.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "ddl/algebra_parser.h"
 #include "obs/meta.h"
 #include "obs/metrics.h"
+#include "pems/pems.h"
 #include "stream/continuous_query.h"
 #include "stream/executor.h"
 #include "stream/query_health.h"
@@ -34,6 +36,18 @@ QueryHealth::QuerySnapshot Find(
   }
   ADD_FAILURE() << "no snapshot for " << name;
   return {};
+}
+
+/// The value `sys_metrics` currently holds for counter `metric`, or -1
+/// when it has no row for it.
+double MetricRow(const Environment& env, const std::string& metric) {
+  const auto relation = env.GetRelation(kSysMetricsRelation);
+  EXPECT_TRUE(relation.ok()) << relation.status();
+  if (!relation.ok()) return -1;
+  for (const Tuple& row : (*relation)->tuples()) {
+    if (row[0].string_value() == metric) return row[2].real_value();
+  }
+  return -1;
 }
 
 ContinuousQueryPtr MakeQuery(const std::string& name,
@@ -227,6 +241,100 @@ TEST(MetaRelationsTest, RefreshPopulatesMetricsAndHealthRows) {
   EXPECT_EQ(row[1].int_value(), -1);  // Never completed.
   EXPECT_EQ(row[2].int_value(), 2);   // Lag from registration.
   EXPECT_EQ(row[3].int_value(), 1);   // One failed step.
+}
+
+TEST(MetaRelationsTest, TickLeavesUnreadMetaRelationsAlone) {
+  obs::MetricsRegistry::Global().set_enabled(true);
+  obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("serena.test.unread");
+  counter.Increment();
+
+  Environment env;
+  auto schema = ExtendedSchema::Create(
+      "readings", {{"level", DataType::kInt}}, {});
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  ASSERT_TRUE(env.PutRelation(XRelation(*schema)).ok());
+  StreamStore streams;
+  ContinuousExecutor executor(&env, &streams);
+  ASSERT_TRUE(obs::RegisterMetaRelations(&env, &executor).ok());
+  // Registration fills every meta-relation once.
+  const double registered = MetricRow(env, "serena.test.unread");
+  EXPECT_EQ(registered, static_cast<double>(counter.value()));
+
+  // The only standing query reads an ordinary relation.
+  ASSERT_TRUE(
+      executor.Register(MakeQuery("plain", "select[level > 0](readings)"))
+          .ok());
+  counter.Increment();
+  executor.Run(2);
+
+  // Neither sys_metrics nor sys_query_health was rebuilt by the ticks.
+  EXPECT_EQ(MetricRow(env, "serena.test.unread"), registered);
+  EXPECT_EQ((*env.GetRelation(kSysQueryHealthRelation))->size(), 0u);
+}
+
+TEST(MetaRelationsTest, StandingQueryOverSysMetricsRefreshesItEveryTick) {
+  obs::MetricsRegistry::Global().set_enabled(true);
+  obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("serena.test.watched");
+
+  Environment env;
+  StreamStore streams;
+  ContinuousExecutor executor(&env, &streams);
+  ASSERT_TRUE(obs::RegisterMetaRelations(&env, &executor).ok());
+  auto watcher = MakeQuery(
+      "watcher", "select[metric = 'serena.test.watched'](sys_metrics)");
+  std::vector<double> seen;
+  watcher->set_sink([&](Timestamp, const XRelation& result) {
+    for (const Tuple& row : result.tuples()) seen.push_back(row[2].real_value());
+  });
+  ASSERT_TRUE(executor.Register(std::move(watcher)).ok());
+
+  for (int i = 0; i < 3; ++i) {
+    counter.Increment();
+    executor.Tick();
+    // The tick-start snapshot already holds this increment.
+    EXPECT_EQ(MetricRow(env, "serena.test.watched"),
+              static_cast<double>(counter.value()));
+  }
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen.back(), static_cast<double>(counter.value()));
+
+  // Once nothing scans sys_metrics, ticks stop rebuilding it.
+  ASSERT_TRUE(executor.Unregister("watcher").ok());
+  const double last = MetricRow(env, "serena.test.watched");
+  counter.Increment();
+  executor.Run(2);
+  EXPECT_EQ(MetricRow(env, "serena.test.watched"), last);
+}
+
+TEST(MetaRelationsTest, OneShotSeesCounterIncrementedAfterLastTick) {
+  obs::MetricsRegistry::Global().set_enabled(true);
+  obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("serena.test.oneshot");
+  auto pems = Pems::Create().MoveValueOrDie();
+  ASSERT_TRUE(obs::RegisterMetaRelations(&pems->env(),
+                                         &pems->queries().executor())
+                  .ok());
+  const std::string query =
+      "select[metric = 'serena.test.oneshot'](sys_metrics)";
+  ASSERT_TRUE(pems->queries().Prepare("counter", query).ok());
+
+  pems->Tick();
+  counter.Increment();
+  auto result = pems->queries().ExecuteOneShot(query);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->relation.size(), 1u);
+  EXPECT_EQ(result->relation.tuples()[0][2].real_value(),
+            static_cast<double>(counter.value()));
+
+  // Prepared one-shots refresh the same way.
+  counter.Increment();
+  auto prepared = pems->queries().ExecutePrepared("counter", {});
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ASSERT_EQ(prepared->relation.size(), 1u);
+  EXPECT_EQ(prepared->relation.tuples()[0][2].real_value(),
+            static_cast<double>(counter.value()));
 }
 
 /// The acceptance scenario: a meta-query

@@ -1,18 +1,24 @@
 // Tests for the runtime statistics store: fingerprint stability across
 // plan instances, RecordPlan aggregation (including the rows_in
 // derivation from children), the JSON persistence roundtrip into the
-// baseline map, and Clear() semantics.
+// baseline map, Clear() semantics, and standing queries recording through
+// fingerprints computed once per plan.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "algebra/plan.h"
 #include "ddl/algebra_parser.h"
+#include "obs/metrics.h"
 #include "obs/stats.h"
+#include "stream/executor.h"
 
 namespace serena {
 namespace obs {
@@ -70,7 +76,7 @@ TEST_F(StatsStoreTest, RecordPlanAggregatesAndDerivesRowsIn) {
   select_stats.evals = 1;
   select_stats.rows_out = 4;
   select_stats.wall_ns = 1200;
-  store.RecordPlan(*plan, collector);
+  store.RecordPlan(FingerprintPlan(*plan), collector);
 
   ASSERT_EQ(store.size(), 2u);
   const std::optional<OperatorStats> sel =
@@ -100,7 +106,7 @@ TEST_F(StatsStoreTest, RecordPlanAggregatesAndDerivesRowsIn) {
   NodeRuntimeStats& top = second.StatsFor(again.get());
   top.evals = 1;
   top.rows_out = 2;
-  store.RecordPlan(*again, second);
+  store.RecordPlan(FingerprintPlan(*again), second);
 
   EXPECT_EQ(store.size(), 2u);
   const std::optional<OperatorStats> merged =
@@ -120,7 +126,7 @@ TEST_F(StatsStoreTest, SnapshotOrdersByWallTime) {
   collector.StatsFor(plan.get()).evals = 1;
   collector.StatsFor(plan->children()[0].get()).wall_ns = 900;
   collector.StatsFor(plan->children()[0].get()).evals = 1;
-  store.RecordPlan(*plan, collector);
+  store.RecordPlan(FingerprintPlan(*plan), collector);
 
   const std::vector<OperatorStats> snapshot = store.Snapshot();
   ASSERT_GE(snapshot.size(), 2u);
@@ -140,7 +146,7 @@ TEST_F(StatsStoreTest, JsonRoundtripIntoBaseline) {
   top.wall_ns = 777;
   top.invocations = 4;
   top.memo_hits = 2;
-  store.RecordPlan(*plan, collector);
+  store.RecordPlan(FingerprintPlan(*plan), collector);
 
   const std::string json = store.ToJson();
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
@@ -171,7 +177,7 @@ TEST_F(StatsStoreTest, ClearDropsLiveRecordsButKeepsBaseline) {
   PlanStatsCollector collector;
   collector.StatsFor(plan.get()).evals = 1;
   collector.StatsFor(plan.get()).rows_out = 9;
-  store.RecordPlan(*plan, collector);
+  store.RecordPlan(FingerprintPlan(*plan), collector);
   ASSERT_TRUE(store.LoadBaselineFromJson(store.ToJson()).ok());
 
   store.Clear();
@@ -185,6 +191,103 @@ TEST_F(StatsStoreTest, LoadBaselineRejectsMalformedJson) {
   EXPECT_FALSE(store.LoadBaselineFromJson("not json").ok());
   EXPECT_FALSE(store.LoadBaselineFromJson("[1,2,3]").ok());
   EXPECT_FALSE(store.has_baseline());
+}
+
+/// What recording `collector` renders and hashes from scratch — the
+/// per-step work `RecordPlan` did before fingerprints were precomputed:
+/// every distinct node with evaluations, keyed by `OperatorFingerprint`.
+std::map<std::string, OperatorStats> RecomputeFromScratch(
+    const PlanPtr& root, const PlanStatsCollector& collector) {
+  std::map<std::string, OperatorStats> expected;
+  std::set<const PlanNode*> seen;
+  std::function<void(const PlanPtr&)> visit = [&](const PlanPtr& node) {
+    if (!seen.insert(node.get()).second) return;
+    std::uint64_t rows_in = 0;
+    for (const PlanPtr& child : node->children()) {
+      if (const NodeRuntimeStats* stats = collector.Find(child.get())) {
+        rows_in += stats->rows_out;
+      }
+      visit(child);
+    }
+    const NodeRuntimeStats* stats = collector.Find(node.get());
+    if (stats == nullptr || stats->evals == 0) return;
+    OperatorStats& op = expected[OperatorFingerprint(*node)];
+    op.kind = PlanKindToString(node->kind());
+    op.label = node->ToString();
+    op.evals += stats->evals;
+    op.rows_in += rows_in;
+    op.rows_out += stats->rows_out;
+    op.invocations += stats->invocations;
+    op.memo_hits += stats->memo_hits;
+    op.errors += stats->errors;
+    op.batches += stats->batches;
+  };
+  visit(root);
+  return expected;
+}
+
+TEST_F(StatsStoreTest, StandingQueryRecordsThroughFingerprintsComputedOnce) {
+  MetricsRegistry::Global().set_enabled(true);
+  StatsStore::Global().Clear();
+
+  Environment env;
+  StreamStore streams;
+  ASSERT_TRUE(streams
+                  .AddStream(ExtendedSchema::Create(
+                                 "readings", {{"sensor", DataType::kString},
+                                              {"value", DataType::kInt}})
+                                 .ValueOrDie())
+                  .ok());
+  // `shared` (a σ over a window) is one node object reached through both
+  // union operands: evaluated twice per step, recorded as one operator.
+  const PlanPtr shared = MustParse("select[value > 2](window[3](readings))");
+  const PlanPtr upper = MustParse("select[value < 8](readings)");
+  const PlanPtr plan = Project(
+      UnionOf(shared,
+              Select(shared, static_cast<const SelectNode&>(*upper).formula())),
+      {"sensor"});
+
+  ContinuousExecutor executor(&env, &streams);
+  executor.AddSource([&](Timestamp t) {
+    XDRelation* stream = streams.GetStream("readings").ValueOrDie();
+    for (int i = 0; i < 4; ++i) {
+      SERENA_RETURN_NOT_OK(stream->Append(
+          t, Tuple{Value::String("s" + std::to_string(i)),
+                   Value::Int((t + i) % 10)}));
+    }
+    return Status::OK();
+  });
+  auto query = std::make_shared<ContinuousQuery>("q", plan);
+  ASSERT_TRUE(executor.Register(query).ok());
+  constexpr int kTicks = 6;
+  executor.Run(kTicks);
+  ASSERT_TRUE(executor.last_errors().empty());
+
+  // Every field is a sum over steps, so recomputing once from the
+  // query-lifetime collector equals recomputing at every step.
+  const std::map<std::string, OperatorStats> expected =
+      RecomputeFromScratch(plan, query->stats());
+  const std::vector<OperatorStats> snapshot = StatsStore::Global().Snapshot();
+  ASSERT_EQ(snapshot.size(), expected.size());
+  for (const OperatorStats& op : snapshot) {
+    const auto it = expected.find(op.fingerprint);
+    ASSERT_NE(it, expected.end()) << op.label;
+    EXPECT_EQ(op.kind, it->second.kind);
+    EXPECT_EQ(op.label, it->second.label);
+    EXPECT_EQ(op.evals, it->second.evals) << op.label;
+    EXPECT_EQ(op.rows_in, it->second.rows_in) << op.label;
+    EXPECT_EQ(op.rows_out, it->second.rows_out) << op.label;
+    EXPECT_EQ(op.invocations, it->second.invocations) << op.label;
+    EXPECT_EQ(op.memo_hits, it->second.memo_hits) << op.label;
+    EXPECT_EQ(op.errors, it->second.errors) << op.label;
+    EXPECT_EQ(op.batches, it->second.batches) << op.label;
+  }
+  // The shared σ merged once per step, not once per path to it.
+  const std::optional<OperatorStats> shared_stats =
+      StatsStore::Global().Find(OperatorFingerprint(*shared));
+  ASSERT_TRUE(shared_stats.has_value());
+  EXPECT_EQ(shared_stats->evals, 2u * kTicks);
+  StatsStore::Global().Clear();
 }
 
 }  // namespace
