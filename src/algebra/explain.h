@@ -69,8 +69,8 @@ std::string ExplainAnalyzePlan(const PlanPtr& plan, Environment* env,
                                const ExplainAnalyzeOptions& options = {});
 
 /// Renders an already-collected stats set against a plan — the building
-/// block `ExplainAnalyzePlan` uses, exposed so continuous queries can be
-/// annotated with statistics accumulated over many steps.
+/// block `ExplainAnalyzePlan` uses, exposed for callers that evaluate with
+/// their own `EvalContext::stats` collector.
 std::string RenderPlanWithStats(const PlanPtr& plan, const Environment& env,
                                 const StreamStore* streams,
                                 const PlanStatsCollector& stats,

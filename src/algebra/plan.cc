@@ -1,7 +1,6 @@
 #include "algebra/plan.h"
 
 #include <algorithm>
-#include <array>
 #include <optional>
 
 #include "algebra/vectorized.h"
@@ -12,58 +11,8 @@
 
 namespace serena {
 
-namespace {
-
-/// Cached per-operator-kind instruments so the evaluator never takes the
-/// registry lock on the hot path. `wall_ns` is inclusive of children
-/// (nested evaluations double-count by design; use EXPLAIN ANALYZE for a
-/// per-node breakdown of one query).
-struct OperatorInstruments {
-  obs::Counter* evals;
-  obs::Counter* rows_out;
-  obs::Counter* wall_ns;
-};
-
-const OperatorInstruments& InstrumentsFor(PlanKind kind) {
-  static constexpr int kKinds =
-      static_cast<int>(PlanKind::kEmpty) + 1;
-  static const std::array<OperatorInstruments, kKinds>* instruments = [] {
-    auto* all = new std::array<OperatorInstruments, kKinds>();
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-    for (int k = 0; k < kKinds; ++k) {
-      const std::string prefix =
-          std::string("serena.op.") +
-          PlanKindToString(static_cast<PlanKind>(k));
-      (*all)[static_cast<std::size_t>(k)] = OperatorInstruments{
-          &metrics.GetCounter(prefix + ".evals"),
-          &metrics.GetCounter(prefix + ".rows_out"),
-          &metrics.GetCounter(prefix + ".wall_ns")};
-    }
-    return all;
-  }();
-  return (*instruments)[static_cast<std::size_t>(kind)];
-}
-
-}  // namespace
-
-namespace internal {
-
-void RecordOperatorMetrics(PlanKind kind, std::uint64_t evals,
-                           std::uint64_t rows_out, std::uint64_t wall_ns) {
-  const OperatorInstruments& instruments = InstrumentsFor(kind);
-  instruments.evals->Increment(evals);
-  instruments.rows_out->Increment(rows_out);
-  instruments.wall_ns->Increment(wall_ns);
-}
-
-}  // namespace internal
-
 Result<XRelation> PlanNode::EvaluateDispatch(EvalContext& ctx) const {
-  // Tracing forces the scalar path: a fused pipeline would collapse the
-  // interior operators into one span, breaking the per-operator causal
-  // chain the trace exists to show.
-  if (vec::Enabled() && vec::IsFusedRoot(kind()) &&
-      !obs::TraceBuffer::Global().enabled()) {
+  if (vec::Enabled() && vec::IsFusedRoot(kind())) {
     if (std::optional<Result<XRelation>> batched =
             vec::TryExecute(*this, ctx);
         batched.has_value()) {
@@ -74,17 +23,15 @@ Result<XRelation> PlanNode::EvaluateDispatch(EvalContext& ctx) const {
 }
 
 Result<XRelation> PlanNode::Evaluate(EvalContext& ctx) const {
-  const bool collect = ctx.stats != nullptr;
-  const bool meter = obs::MetricsRegistry::Global().enabled();
-  const bool trace = obs::TraceBuffer::Global().enabled();
-  if (!collect && !meter && !trace) return EvaluateDispatch(ctx);
-
   // Operator span: nests under the enclosing query-step span (and any
   // parent operator), completing the tick→step→operator causal chain.
   std::optional<obs::Span> span;
-  if (trace) {
+  if (obs::TraceBuffer::Global().enabled()) {
     span.emplace(std::string("op.") + PlanKindToString(kind()), ctx.instant);
   }
+  // Per-node actuals are the only per-evaluation record; the per-kind
+  // `serena.op.*` counters are fed from them by `StatsStore::RecordPlan`.
+  if (ctx.stats == nullptr) return EvaluateDispatch(ctx);
 
   const InvocationTally before = ctx.invocations;
   const std::uint64_t start_ns = obs::MonotonicNowNs();
@@ -93,22 +40,14 @@ Result<XRelation> PlanNode::Evaluate(EvalContext& ctx) const {
   const std::uint64_t rows =
       result.ok() ? static_cast<std::uint64_t>(result->size()) : 0;
 
-  if (meter) {
-    const OperatorInstruments& instruments = InstrumentsFor(kind());
-    instruments.evals->Increment();
-    instruments.rows_out->Increment(rows);
-    instruments.wall_ns->Increment(elapsed_ns);
-  }
-  if (collect) {
-    NodeRuntimeStats& stats = ctx.stats->StatsFor(this);
-    ++stats.evals;
-    stats.rows_out += rows;
-    stats.wall_ns += elapsed_ns;
-    stats.invocations += ctx.invocations.logical_invocations -
-                         before.logical_invocations;
-    stats.memo_hits += ctx.invocations.memo_hits - before.memo_hits;
-    if (!result.ok()) ++stats.errors;
-  }
+  NodeRuntimeStats& stats = ctx.stats->StatsFor(this);
+  ++stats.evals;
+  stats.rows_out += rows;
+  stats.wall_ns += elapsed_ns;
+  stats.invocations +=
+      ctx.invocations.logical_invocations - before.logical_invocations;
+  stats.memo_hits += ctx.invocations.memo_hits - before.memo_hits;
+  if (!result.ok()) ++stats.errors;
   return result;
 }
 

@@ -74,10 +74,11 @@ class NodeStateStore {
   std::unordered_map<const PlanNode*, NodeState> states_;
 };
 
-/// Actual execution statistics of one plan node, accumulated across
-/// evaluations (one-shot: one evaluation; continuous: one per step).
-/// Wall time is inclusive of children, like EXPLAIN ANALYZE in classical
-/// engines.
+/// Actual execution statistics of one plan node over one evaluation of
+/// its plan (a one-shot query, one standing-query step, or one EXPLAIN
+/// ANALYZE); a subtree shared by several paths accumulates one eval per
+/// path. Wall time is inclusive of children, like EXPLAIN ANALYZE in
+/// classical engines.
 struct NodeRuntimeStats {
   std::uint64_t evals = 0;
   std::uint64_t rows_out = 0;
@@ -104,24 +105,6 @@ class PlanStatsCollector {
     const auto it = stats_.find(node);
     return it == stats_.end() ? nullptr : &it->second;
   }
-  void Clear() { stats_.clear(); }
-
-  /// Adds every per-node counter of `other` into this collector. Lets a
-  /// continuous query evaluate each step into a scratch collector (whose
-  /// deltas feed the global StatsStore) while still accumulating
-  /// query-lifetime totals for RenderPlanWithStats.
-  void MergeFrom(const PlanStatsCollector& other) {
-    for (const auto& [node, stats] : other.stats_) {
-      NodeRuntimeStats& dst = stats_[node];
-      dst.evals += stats.evals;
-      dst.rows_out += stats.rows_out;
-      dst.wall_ns += stats.wall_ns;
-      dst.invocations += stats.invocations;
-      dst.memo_hits += stats.memo_hits;
-      dst.errors += stats.errors;
-      dst.batches += stats.batches;
-    }
-  }
 
  private:
   std::unordered_map<const PlanNode*, NodeRuntimeStats> stats_;
@@ -143,8 +126,8 @@ struct EvalContext {
   /// Optional: enables continuous (delta-aware) semantics.
   NodeStateStore* state = nullptr;
   /// Optional: per-node actual rows/time/invocations land here (EXPLAIN
-  /// ANALYZE). Timing is only paid when set or when the global metrics
-  /// registry is enabled.
+  /// ANALYZE, and through `StatsStore::RecordPlan` the `serena.op.*`
+  /// counters). Timing is only paid when set.
   PlanStatsCollector* stats = nullptr;
   /// Pool used by Invoke nodes for concurrent physical service calls
   /// (nullptr = `ThreadPool::Shared()`). Evaluation results are
@@ -602,17 +585,6 @@ bool ContainsActiveInvoke(const PlanPtr& plan, const Environment& env,
 /// shared by the classic rewriter and the semantic rewrite pass.
 Result<PlanPtr> ReplaceChildren(const PlanPtr& plan,
                                 std::vector<PlanPtr> children);
-
-namespace internal {
-
-/// Adds to the cached process-wide `serena.op.<kind>.*` counters — the
-/// same instruments `PlanNode::Evaluate` feeds. The vectorized core uses
-/// this to flush per-operator metrics for the interior of a fused
-/// pipeline, where the per-node `Evaluate` wrapper never runs.
-void RecordOperatorMetrics(PlanKind kind, std::uint64_t evals,
-                           std::uint64_t rows_out, std::uint64_t wall_ns);
-
-}  // namespace internal
 
 }  // namespace serena
 

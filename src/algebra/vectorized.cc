@@ -13,6 +13,7 @@
 #include "algebra/tuple_batch.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace serena {
 namespace vec {
@@ -845,47 +846,53 @@ Result<XRelation> RunPipeline(Pipeline& pipeline, EvalContext& ctx) {
 }
 
 /// Flushes the fused interior's statistics so EXPLAIN ANALYZE and the
-/// per-operator metrics match the scalar path: each started native stage
-/// counts one eval, its emitted rows, and the pipeline's (inclusive) wall
-/// time. The root's eval/rows/wall/error are recorded by its `Evaluate`
-/// wrapper — only its batch count comes from here. Stages never started
-/// (the right join side after a left failure) stay unrecorded, exactly
-/// like unevaluated scalar operands.
+/// statistics store (and through it the `serena.op.*` counters) match the
+/// scalar path: each started native stage counts one eval, its emitted
+/// rows, and the pipeline's (inclusive) wall time. The root's
+/// eval/rows/wall/error are recorded by its `Evaluate` wrapper — only its
+/// batch count comes from here. Stages never started (the right join side
+/// after a left failure) stay unrecorded, exactly like unevaluated scalar
+/// operands.
 void FlushStats(const Pipeline& pipeline, const PlanNode& root_node,
-                EvalContext& ctx, bool collect, bool meter,
-                std::uint64_t elapsed_ns) {
+                PlanStatsCollector& collector, std::uint64_t elapsed_ns) {
   for (const auto& cursor : pipeline.cursors) {
     if (!cursor->native || !cursor->started) continue;
     if (cursor.get() == pipeline.root) {
-      if (collect) {
-        ctx.stats->StatsFor(&root_node).batches += cursor->batches_out;
-      }
+      collector.StatsFor(&root_node).batches += cursor->batches_out;
       continue;
     }
-    if (collect) {
-      NodeRuntimeStats& stats = ctx.stats->StatsFor(cursor->node);
-      ++stats.evals;
-      stats.rows_out += cursor->rows_out;
-      stats.wall_ns += elapsed_ns;
-      stats.batches += cursor->batches_out;
-      if (cursor->failed) ++stats.errors;
-    }
-    if (meter) {
-      internal::RecordOperatorMetrics(cursor->node->kind(), 1,
-                                      cursor->rows_out, elapsed_ns);
-    }
+    NodeRuntimeStats& stats = collector.StatsFor(cursor->node);
+    ++stats.evals;
+    stats.rows_out += cursor->rows_out;
+    stats.wall_ns += elapsed_ns;
+    stats.batches += cursor->batches_out;
+    if (cursor->failed) ++stats.errors;
   }
-  if (meter) {
-    std::uint64_t fused = 0;
-    for (const auto& cursor : pipeline.cursors) {
-      if (cursor->native) ++fused;
-    }
-    const VecInstruments& instruments = VectorizeInstruments();
-    instruments.pipelines->Increment();
-    instruments.fused_ops->Increment(fused);
-    instruments.batches->Increment(pipeline.root->batches_out);
-    instruments.rows->Increment(pipeline.root->rows_out);
+}
+
+/// Adds one run of `pipeline` to the `serena.vectorize.*` counters.
+void CountPipeline(const Pipeline& pipeline) {
+  std::uint64_t fused = 0;
+  for (const auto& cursor : pipeline.cursors) {
+    if (cursor->native) ++fused;
   }
+  const VecInstruments& instruments = VectorizeInstruments();
+  instruments.pipelines->Increment();
+  instruments.fused_ops->Increment(fused);
+  instruments.batches->Increment(pipeline.root->batches_out);
+  instruments.rows->Increment(pipeline.root->rows_out);
+}
+
+/// The fused stages of `pipeline`, leaves first (e.g. "window,select") —
+/// the detail of its `vec.pipeline` span.
+std::string FusedStages(const Pipeline& pipeline) {
+  std::string stages;
+  for (const auto& cursor : pipeline.cursors) {
+    if (!cursor->native) continue;
+    if (!stages.empty()) stages.push_back(',');
+    stages += PlanKindToString(cursor->node->kind());
+  }
+  return stages;
 }
 
 }  // namespace
@@ -911,17 +918,22 @@ std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
     return std::nullopt;
   }
 
-  const bool collect = ctx.stats != nullptr;
-  const bool meter = obs::MetricsRegistry::Global().enabled();
+  // The fused stages run interleaved batch by batch, so the pipeline is
+  // one span, nested under the root's `op.<kind>` span; scalar operands
+  // consumed through opaque cursors nest their own spans under it.
+  std::optional<obs::Span> span;
+  if (obs::TraceBuffer::Global().enabled()) {
+    span.emplace("vec.pipeline", ctx.instant, FusedStages(pipeline));
+  }
   const std::uint64_t start_ns =
-      (collect || meter) ? obs::MonotonicNowNs() : 0;
+      ctx.stats != nullptr ? obs::MonotonicNowNs() : 0;
 
   Result<XRelation> result = RunPipeline(pipeline, ctx);
 
-  if (collect || meter) {
-    const std::uint64_t elapsed_ns = obs::MonotonicNowNs() - start_ns;
-    FlushStats(pipeline, node, ctx, collect, meter, elapsed_ns);
+  if (ctx.stats != nullptr) {
+    FlushStats(pipeline, node, *ctx.stats, obs::MonotonicNowNs() - start_ns);
   }
+  if (obs::MetricsRegistry::Global().enabled()) CountPipeline(pipeline);
   pool->ReleaseToMark(mark);
   return result;
 }

@@ -1,6 +1,7 @@
 #include "obs/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -72,6 +73,35 @@ OperatorStats ReadOperator(const JsonValue& value) {
   return op;
 }
 
+/// Cached per-operator-kind `serena.op.<kind>.*` instruments, so
+/// recording never takes the registry lock. `wall_ns` is inclusive of
+/// children (nested evaluations double-count by design; use EXPLAIN
+/// ANALYZE for a per-node breakdown of one query).
+struct OperatorInstruments {
+  Counter* evals;
+  Counter* rows_out;
+  Counter* wall_ns;
+};
+
+const OperatorInstruments& InstrumentsFor(PlanKind kind) {
+  static constexpr int kKinds = static_cast<int>(PlanKind::kEmpty) + 1;
+  static const std::array<OperatorInstruments, kKinds>* instruments = [] {
+    auto* all = new std::array<OperatorInstruments, kKinds>();
+    MetricsRegistry& metrics = MetricsRegistry::Global();
+    for (int k = 0; k < kKinds; ++k) {
+      const std::string prefix =
+          std::string("serena.op.") +
+          PlanKindToString(static_cast<PlanKind>(k));
+      (*all)[static_cast<std::size_t>(k)] = OperatorInstruments{
+          &metrics.GetCounter(prefix + ".evals"),
+          &metrics.GetCounter(prefix + ".rows_out"),
+          &metrics.GetCounter(prefix + ".wall_ns")};
+    }
+    return all;
+  }();
+  return (*instruments)[static_cast<std::size_t>(kind)];
+}
+
 }  // namespace
 
 std::string OperatorFingerprint(const PlanNode& node) {
@@ -120,8 +150,9 @@ std::vector<FingerprintedNode> FingerprintPlan(const PlanNode& root) {
 
 void StatsStore::RecordPlan(const std::vector<FingerprintedNode>& nodes,
                             const PlanStatsCollector& collector) {
-  // Resolve this evaluation's actuals outside the lock; `mu_` guards only
-  // the merge into `operators_`.
+  // Resolve this evaluation's actuals and feed the (atomic) per-kind
+  // counters outside the lock; `mu_` guards only the merge into
+  // `operators_`.
   struct Update {
     const FingerprintedNode* entry;
     const NodeRuntimeStats* stats;
@@ -141,6 +172,16 @@ void StatsStore::RecordPlan(const std::vector<FingerprintedNode>& nodes,
     updates.push_back({&entry, stats, rows_in});
   }
   if (updates.empty()) return;
+
+  if (MetricsRegistry::Global().enabled()) {
+    for (const Update& update : updates) {
+      const OperatorInstruments& instruments =
+          InstrumentsFor(update.entry->node->kind());
+      instruments.evals->Increment(update.stats->evals);
+      instruments.rows_out->Increment(update.stats->rows_out);
+      instruments.wall_ns->Increment(update.stats->wall_ns);
+    }
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
   for (const Update& update : updates) {

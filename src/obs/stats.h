@@ -147,7 +147,9 @@ class StatsStore {
   /// evaluated plan). The collector must hold *deltas* for exactly the
   /// evaluations being recorded (the callers pass per-evaluation scratch
   /// collectors); `rows_in` is derived as the sum of each node's
-  /// children's outputs.
+  /// children's outputs. While the metrics registry is enabled, the same
+  /// actuals also feed the per-kind `serena.op.<kind>.{evals,rows_out,
+  /// wall_ns}` counters — the only place those are written.
   void RecordPlan(const std::vector<FingerprintedNode>& nodes,
                   const PlanStatsCollector& collector);
 

@@ -74,9 +74,10 @@ class ContinuousQuery {
   std::uint64_t steps() const { return steps_; }
 
   /// Rows that entered the plan's leaves (scans + windows) during the
-  /// last step, and rows the last step emitted. Tracked while the global
-  /// metrics registry is enabled (0 otherwise) — the tuples-in/out feed
-  /// of the executor's QueryHealth.
+  /// last step — every evaluation of each distinct leaf node, as the
+  /// statistics store records them — and rows the last step emitted.
+  /// Rows-in is tracked while the global metrics registry is enabled (0
+  /// otherwise) — the tuples-in/out feed of the executor's QueryHealth.
   std::uint64_t last_rows_in() const { return last_rows_in_; }
   std::uint64_t last_rows_out() const { return last_rows_out_; }
 
@@ -87,16 +88,10 @@ class ContinuousQuery {
     return last_failed_tuples_;
   }
 
-  /// Per-node actuals accumulated over all steps (RenderPlanWithStats).
-  const PlanStatsCollector& stats() const { return stats_; }
-
   /// Drops all per-node state (the query behaves as freshly registered).
   void ResetState() { state_.Clear(); }
 
  private:
-  /// Sum of rows_out over the plan's leaf nodes in `stats_`.
-  std::uint64_t LeafRowsTotal() const;
-
   std::string name_;
   PlanPtr plan_;
   std::vector<std::string> feeds_;
@@ -110,10 +105,8 @@ class ContinuousQuery {
   std::vector<LoggedAction> action_log_;
   std::vector<Tuple> last_failed_tuples_;
   std::uint64_t steps_ = 0;
-  PlanStatsCollector stats_;
   /// `obs::FingerprintPlan(*plan_)`, computed on the first recorded step.
   std::vector<obs::FingerprintedNode> fingerprints_;
-  std::uint64_t leaf_rows_total_ = 0;
   std::uint64_t last_rows_in_ = 0;
   std::uint64_t last_rows_out_ = 0;
 };

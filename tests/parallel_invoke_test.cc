@@ -3,6 +3,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "ddl/algebra_parser.h"
 #include "env/scenario.h"
 #include "obs/metrics.h"
+#include "obs/stats.h"
 #include "service/lambda_service.h"
 #include "stream/executor.h"
 
@@ -298,15 +300,17 @@ TEST(ParallelInvokeTest, DerivedStreamPipelineKeepsProducerBeforeConsumer) {
 }
 
 /// Each node of a standing query's plan (preorder) with the invocation
-/// and memo-hit counts its EXPLAIN ANALYZE actuals hold.
+/// and memo-hit counts the runtime statistics store recorded for it over
+/// the query's steps (the query's operators fingerprint uniquely).
 std::vector<std::string> PerNodeInvocations(const ContinuousQuery& query) {
   std::vector<std::string> out;
   std::function<void(const PlanPtr&)> visit = [&](const PlanPtr& node) {
-    const NodeRuntimeStats* stats = query.stats().Find(node.get());
+    const std::optional<obs::OperatorStats> stats =
+        obs::StatsStore::Global().Find(obs::OperatorFingerprint(*node));
     out.push_back(node->ToString() + " invocations=" +
-                  std::to_string(stats != nullptr ? stats->invocations : 0) +
+                  std::to_string(stats ? stats->invocations : 0) +
                   " memo_hits=" +
-                  std::to_string(stats != nullptr ? stats->memo_hits : 0));
+                  std::to_string(stats ? stats->memo_hits : 0));
     for (const PlanPtr& child : node->children()) visit(child);
   };
   visit(query.plan());
@@ -320,6 +324,8 @@ TEST(ParallelInvokeTest, ConcurrentQueriesCountOnlyTheirOwnInvocations) {
   // exactly as in a serial (SERENA_THREADS=0) run.
   obs::MetricsRegistry::Global().set_enabled(true);
   const auto run = [](std::size_t threads) {
+    // Both runs record the same operators; each reads only its own.
+    obs::StatsStore::Global().Clear();
     Environment env;
     const PrototypePtr proto = MakeProbePrototype();
     EXPECT_TRUE(env.AddPrototype(proto).ok());

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "algebra/plan.h"
 #include "ddl/algebra_parser.h"
 #include "obs/meta.h"
 #include "obs/metrics.h"
+#include "obs/stats.h"
 #include "pems/pems.h"
 #include "stream/continuous_query.h"
 #include "stream/executor.h"
@@ -184,6 +187,54 @@ TEST(QueryHealthExecutorTest, FailingQueryBuildsAStreakHealthyOneDoesNot) {
   // Unregistration drops the health entry.
   ASSERT_TRUE(executor.Unregister("doomed").ok());
   EXPECT_EQ(executor.health().Snapshots().size(), 1u);
+}
+
+TEST(QueryHealthExecutorTest, RowsInCountsASharedLeafOnce) {
+  obs::MetricsRegistry::Global().set_enabled(true);
+  obs::StatsStore::Global().Clear();
+
+  Environment env;
+  StreamStore streams;
+  ASSERT_TRUE(streams
+                  .AddStream(ExtendedSchema::Create(
+                                 "readings", {{"sensor", DataType::kString},
+                                              {"value", DataType::kInt}})
+                                 .ValueOrDie())
+                  .ok());
+  // One σ-over-window node reached through both union operands: its
+  // window is the plan's only leaf, two paths below the root.
+  const PlanPtr window = Window("readings", 3);
+  const PlanPtr shared =
+      Select(window, ParseFormula("value > 2").ValueOrDie());
+  const PlanPtr plan = Project(
+      UnionOf(shared, Select(shared, ParseFormula("value < 8").ValueOrDie())),
+      {"sensor"});
+
+  ContinuousExecutor executor(&env, &streams);
+  executor.AddSource([&](Timestamp t) {
+    XDRelation* stream = streams.GetStream("readings").ValueOrDie();
+    for (int i = 0; i < 4; ++i) {
+      SERENA_RETURN_NOT_OK(stream->Append(
+          t, Tuple{Value::String("s" + std::to_string(i)),
+                   Value::Int((t + i) % 10)}));
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(
+      executor.Register(std::make_shared<ContinuousQuery>("shared", plan))
+          .ok());
+  executor.Run(4);
+  ASSERT_TRUE(executor.last_errors().empty());
+
+  // Health rows-in is what the leaves emitted — the window's recorded
+  // output over every evaluation — not that once per path to it.
+  const std::optional<obs::OperatorStats> leaf =
+      obs::StatsStore::Global().Find(obs::OperatorFingerprint(*window));
+  ASSERT_TRUE(leaf.has_value());
+  EXPECT_GT(leaf->rows_out, 0u);
+  EXPECT_EQ(Find(executor.health().Snapshots(), "shared").rows_in,
+            leaf->rows_out);
+  obs::StatsStore::Global().Clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Tests for the runtime statistics store: fingerprint stability across
 // plan instances, RecordPlan aggregation (including the rows_in
 // derivation from children), the JSON persistence roundtrip into the
-// baseline map, Clear() semantics, and standing queries recording through
-// fingerprints computed once per plan.
+// baseline map, Clear() semantics, standing queries recording through
+// fingerprints computed once per plan, and the per-kind `serena.op.*`
+// counters agreeing with the store they are fed from.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "algebra/plan.h"
+#include "algebra/vectorized.h"
 #include "ddl/algebra_parser.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
@@ -226,47 +228,70 @@ std::map<std::string, OperatorStats> RecomputeFromScratch(
   return expected;
 }
 
+/// A standing query over a `readings` stream that a source fills with
+/// four rows per tick, appended directly so every evaluation in a run is
+/// one of the query's recorded steps. `shared` (a σ over a window) is one
+/// node object reached through both union operands: evaluated twice per
+/// step, recorded as one operator.
+struct SharedSubtreeQuery {
+  SharedSubtreeQuery() : executor(&env, &streams) {
+    EXPECT_TRUE(streams
+                    .AddStream(ExtendedSchema::Create(
+                                   "readings", {{"sensor", DataType::kString},
+                                                {"value", DataType::kInt}})
+                                   .ValueOrDie())
+                    .ok());
+    const PlanPtr upper = MustParse("select[value < 8](readings)");
+    plan = Project(
+        UnionOf(shared, Select(shared, static_cast<const SelectNode&>(*upper)
+                                           .formula())),
+        {"sensor"});
+    executor.AddSource([this](Timestamp t) {
+      XDRelation* stream = streams.GetStream("readings").ValueOrDie();
+      for (int i = 0; i < 4; ++i) {
+        SERENA_RETURN_NOT_OK(stream->Append(
+            t, Tuple{Value::String("s" + std::to_string(i)),
+                     Value::Int((t + i) % 10)}));
+      }
+      return Status::OK();
+    });
+    query = std::make_shared<ContinuousQuery>("q", plan);
+  }
+
+  Environment env;
+  StreamStore streams;
+  ContinuousExecutor executor;
+  PlanPtr shared = MustParse("select[value > 2](window[3](readings))");
+  PlanPtr plan;
+  ContinuousQueryPtr query;
+};
+
 TEST_F(StatsStoreTest, StandingQueryRecordsThroughFingerprintsComputedOnce) {
   MetricsRegistry::Global().set_enabled(true);
   StatsStore::Global().Clear();
 
-  Environment env;
-  StreamStore streams;
-  ASSERT_TRUE(streams
-                  .AddStream(ExtendedSchema::Create(
-                                 "readings", {{"sensor", DataType::kString},
-                                              {"value", DataType::kInt}})
-                                 .ValueOrDie())
-                  .ok());
-  // `shared` (a σ over a window) is one node object reached through both
-  // union operands: evaluated twice per step, recorded as one operator.
-  const PlanPtr shared = MustParse("select[value > 2](window[3](readings))");
-  const PlanPtr upper = MustParse("select[value < 8](readings)");
-  const PlanPtr plan = Project(
-      UnionOf(shared,
-              Select(shared, static_cast<const SelectNode&>(*upper).formula())),
-      {"sensor"});
-
-  ContinuousExecutor executor(&env, &streams);
-  executor.AddSource([&](Timestamp t) {
-    XDRelation* stream = streams.GetStream("readings").ValueOrDie();
-    for (int i = 0; i < 4; ++i) {
-      SERENA_RETURN_NOT_OK(stream->Append(
-          t, Tuple{Value::String("s" + std::to_string(i)),
-                   Value::Int((t + i) % 10)}));
-    }
-    return Status::OK();
+  SharedSubtreeQuery q;
+  // The plan holds no stateful operator (invoke, streaming), so evaluating
+  // it again at each step's instant reproduces the actuals that step
+  // recorded — an independent reference collector, accumulated over steps.
+  PlanStatsCollector reference;
+  q.query->set_sink([&](Timestamp t, const XRelation&) {
+    EvalContext ctx;
+    ctx.env = &q.env;
+    ctx.streams = &q.streams;
+    ctx.instant = t;
+    ctx.stats = &reference;
+    EXPECT_TRUE(q.plan->Evaluate(ctx).ok());
   });
-  auto query = std::make_shared<ContinuousQuery>("q", plan);
-  ASSERT_TRUE(executor.Register(query).ok());
+  ASSERT_TRUE(q.executor.Register(q.query).ok());
   constexpr int kTicks = 6;
-  executor.Run(kTicks);
-  ASSERT_TRUE(executor.last_errors().empty());
+  q.executor.Run(kTicks);
+  ASSERT_TRUE(q.executor.last_errors().empty());
 
   // Every field is a sum over steps, so recomputing once from the
-  // query-lifetime collector equals recomputing at every step.
+  // reference accumulated over all steps equals recomputing at every step.
   const std::map<std::string, OperatorStats> expected =
-      RecomputeFromScratch(plan, query->stats());
+      RecomputeFromScratch(q.plan, reference);
   const std::vector<OperatorStats> snapshot = StatsStore::Global().Snapshot();
   ASSERT_EQ(snapshot.size(), expected.size());
   for (const OperatorStats& op : snapshot) {
@@ -284,11 +309,77 @@ TEST_F(StatsStoreTest, StandingQueryRecordsThroughFingerprintsComputedOnce) {
   }
   // The shared σ merged once per step, not once per path to it.
   const std::optional<OperatorStats> shared_stats =
-      StatsStore::Global().Find(OperatorFingerprint(*shared));
+      StatsStore::Global().Find(OperatorFingerprint(*q.shared));
   ASSERT_TRUE(shared_stats.has_value());
   EXPECT_EQ(shared_stats->evals, 2u * kTicks);
   StatsStore::Global().Clear();
 }
+
+class VecModeGuard {
+ public:
+  explicit VecModeGuard(bool enabled) { vec::SetEnabledForTesting(enabled); }
+  ~VecModeGuard() { vec::SetEnabledForTesting(std::nullopt); }
+};
+
+/// Parametrized over the execution core: true = vectorized, false = scalar.
+class OperatorViewsTest : public StatsStoreTest,
+                          public ::testing::WithParamInterface<bool> {};
+
+// The per-kind `serena.op.*` counters and the per-fingerprint store are
+// two views of one recorder, so over a run they agree kind by kind —
+// including the interior stages of fused pipelines.
+TEST_P(OperatorViewsTest, OpCountersEqualStatsStoreSumsPerKind) {
+  VecModeGuard guard(GetParam());
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.set_enabled(true);
+  StatsStore::Global().Clear();
+
+  constexpr int kKinds = static_cast<int>(PlanKind::kEmpty) + 1;
+  const auto counter = [&](int kind, const char* field) -> Counter& {
+    return metrics.GetCounter(std::string("serena.op.") +
+                              PlanKindToString(static_cast<PlanKind>(kind)) +
+                              "." + field);
+  };
+  std::vector<std::uint64_t> evals_before;
+  std::vector<std::uint64_t> rows_before;
+  std::vector<std::uint64_t> wall_before;
+  for (int k = 0; k < kKinds; ++k) {
+    evals_before.push_back(counter(k, "evals").value());
+    rows_before.push_back(counter(k, "rows_out").value());
+    wall_before.push_back(counter(k, "wall_ns").value());
+  }
+
+  SharedSubtreeQuery q;
+  ASSERT_TRUE(q.executor.Register(q.query).ok());
+  q.executor.Run(5);
+  ASSERT_TRUE(q.executor.last_errors().empty());
+
+  std::map<std::string, OperatorStats> by_kind;
+  for (const OperatorStats& op : StatsStore::Global().Snapshot()) {
+    by_kind[op.kind].evals += op.evals;
+    by_kind[op.kind].rows_out += op.rows_out;
+    by_kind[op.kind].wall_ns += op.wall_ns;
+  }
+  ASSERT_GT(by_kind["window"].rows_out, 0u);
+  for (int k = 0; k < kKinds; ++k) {
+    const std::string kind = PlanKindToString(static_cast<PlanKind>(k));
+    EXPECT_EQ(counter(k, "evals").value() - evals_before[k],
+              by_kind[kind].evals)
+        << kind;
+    EXPECT_EQ(counter(k, "rows_out").value() - rows_before[k],
+              by_kind[kind].rows_out)
+        << kind;
+    EXPECT_EQ(counter(k, "wall_ns").value() - wall_before[k],
+              by_kind[kind].wall_ns)
+        << kind;
+  }
+  StatsStore::Global().Clear();
+}
+
+INSTANTIATE_TEST_SUITE_P(ExecutionCores, OperatorViewsTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "vectorized" : "scalar";
+                         });
 
 }  // namespace
 }  // namespace obs

@@ -1,12 +1,15 @@
 // Unit tests for the vectorized batch execution core itself: the
 // configuration knobs, the fusion surface, the pipeline metrics and
-// per-operator batch counts, batch-pool reuse, the flattened-conjunction
-// predicate fast path, and the scalar-fallback gates.
+// per-operator batch counts, tracing staying on the fused path, batch-pool
+// reuse, the flattened-conjunction predicate fast path, and the
+// scalar-fallback gates.
 
 #include "algebra/vectorized.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "algebra/explain.h"
@@ -15,6 +18,7 @@
 #include "algebra/tuple_batch.h"
 #include "env/scenario.h"
 #include "obs/metrics.h"
+#include "obs/stats.h"
 #include "obs/trace.h"
 #include "stream/continuous_query.h"
 
@@ -180,6 +184,13 @@ TEST_F(VectorizedPipelineTest, PipelineCounterAndBatchStatsAdvance) {
                         Formula::Compare(Operand::Attr("temperature"),
                                          CompareOp::kGt,
                                          Operand::Const(Value::Real(-1e9))));
+  const std::string root_fingerprint = obs::OperatorFingerprint(*plan);
+  const auto root_batches = [&]() -> std::uint64_t {
+    const std::optional<obs::OperatorStats> stats =
+        obs::StatsStore::Global().Find(root_fingerprint);
+    return stats ? stats->batches : 0;
+  };
+  const std::uint64_t batches_before = root_batches();
   ContinuousQuery query("q", plan);
   auto result =
       query.Step(&scenario_->env(), &scenario_->streams(), 3);
@@ -189,38 +200,62 @@ TEST_F(VectorizedPipelineTest, PipelineCounterAndBatchStatsAdvance) {
   EXPECT_GT(metrics.GetCounter("serena.vectorize.pipelines").value(),
             pipelines_before);
   EXPECT_GT(metrics.GetCounter("serena.vectorize.rows").value(), rows_before);
-  // Per-operator batch counts reach the stats collector, and EXPLAIN
+  // Per-operator batch counts reach the statistics store, and EXPLAIN
   // ANALYZE renders them — the visible signal that fusion ran.
-  const NodeRuntimeStats* root_stats = query.stats().Find(plan.get());
-  ASSERT_NE(root_stats, nullptr);
-  EXPECT_GT(root_stats->batches, 0u);
-  const std::string rendered = RenderPlanWithStats(
-      plan, scenario_->env(), &scenario_->streams(), query.stats());
+  EXPECT_GT(root_batches(), batches_before);
+  ExplainAnalyzeOptions options;
+  options.instant = 3;
+  const std::string rendered = ExplainAnalyzePlan(
+      plan, &scenario_->env(), &scenario_->streams(), options);
   EXPECT_NE(rendered.find("batches="), std::string::npos);
 
   metrics.set_enabled(was_enabled);
 }
 
-TEST_F(VectorizedPipelineTest, TracingForcesTheScalarPath) {
+TEST_F(VectorizedPipelineTest, TracingKeepsTheVectorizedPath) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const bool was_enabled = metrics.enabled();
   metrics.set_enabled(true);
   VecModeGuard guard(true);
-  obs::TraceBuffer::Global().set_enabled(true);
 
-  const std::uint64_t pipelines_before =
-      metrics.GetCounter("serena.vectorize.pipelines").value();
   PlanPtr plan = Select(Window("temperatures", 3),
                         Formula::Compare(Operand::Attr("temperature"),
                                          CompareOp::kGt,
                                          Operand::Const(Value::Real(-1e9))));
-  auto result = Execute(plan, &scenario_->env(), &scenario_->streams(), 3);
-  ASSERT_TRUE(result.ok());
-  // Causal tracing needs per-operator events, so no pipeline may fuse.
-  EXPECT_EQ(metrics.GetCounter("serena.vectorize.pipelines").value(),
-            pipelines_before);
+  auto untraced = Execute(plan, &scenario_->env(), &scenario_->streams(), 3);
+  ASSERT_TRUE(untraced.ok());
 
-  obs::TraceBuffer::Global().set_enabled(false);
+  obs::TraceBuffer& trace = obs::TraceBuffer::Global();
+  trace.Clear();
+  trace.set_enabled(true);
+  const std::uint64_t pipelines_before =
+      metrics.GetCounter("serena.vectorize.pipelines").value();
+  auto traced = Execute(plan, &scenario_->env(), &scenario_->streams(), 3);
+  trace.set_enabled(false);
+  ASSERT_TRUE(traced.ok());
+
+  // A trace describes the engine production runs: the pipeline fused, and
+  // the result is the untraced one.
+  EXPECT_GT(metrics.GetCounter("serena.vectorize.pipelines").value(),
+            pipelines_before);
+  EXPECT_EQ(traced->relation.ToTableString(),
+            untraced->relation.ToTableString());
+  // The fused pipeline is one `vec.pipeline` span under the root's
+  // operator span, its detail naming the fused stages.
+  const std::vector<obs::SpanRecord> spans = trace.Snapshot();
+  const auto select = std::find_if(
+      spans.begin(), spans.end(),
+      [](const obs::SpanRecord& span) { return span.name == "op.select"; });
+  ASSERT_NE(select, spans.end());
+  const auto pipeline = std::find_if(
+      spans.begin(), spans.end(), [&](const obs::SpanRecord& span) {
+        return span.name == "vec.pipeline" &&
+               span.parent_id == select->span_id;
+      });
+  ASSERT_NE(pipeline, spans.end());
+  EXPECT_EQ(pipeline->detail, "window,select");
+
+  trace.Clear();
   metrics.set_enabled(was_enabled);
 }
 
