@@ -63,6 +63,14 @@ class TupleBatch {
     return owned_.empty() ? *refs_[i] : owned_[i];
   }
 
+  /// True when the batch holds materialized rows rather than borrowed
+  /// pointers.
+  bool owning() const { return !owned_.empty(); }
+
+  /// Moves owned row `i` out of an owning batch, leaving an empty tuple
+  /// there until the next Clear. Only the batch's consumer may do this.
+  Tuple TakeOwned(std::size_t i) { return std::move(owned_[i]); }
+
   /// The known content hash of row `i`, or 0 when the producer did not
   /// carry one (owned rows, catalog scans, opaque results).
   std::uint64_t hash_at(std::size_t i) const {

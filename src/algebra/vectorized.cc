@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,6 +15,7 @@
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "xrel/flat_tuple_index.h"
 
 namespace serena {
 namespace vec {
@@ -120,7 +122,8 @@ const VecInstruments& VectorizeInstruments() {
 /// One stage of a fused pipeline. `Next` yields the stage's output one
 /// TupleBatch at a time (nullptr = exhausted; a non-null batch is never
 /// empty — stages loop internally over empty fills). A batch stays valid
-/// until the producing cursor's next `Next` call.
+/// until the producing cursor's next `Next` call; until then its single
+/// consumer may also move owned rows out of it (the terminal collect).
 ///
 /// Every cursor emits exactly the tuple sequence the scalar operator
 /// would materialize (docs/VECTORIZATION.md: the per-cursor dedup
@@ -136,9 +139,9 @@ class Cursor {
   Cursor(const Cursor&) = delete;
   Cursor& operator=(const Cursor&) = delete;
 
-  Result<const TupleBatch*> Next(EvalContext& ctx) {
+  Result<TupleBatch*> Next(EvalContext& ctx) {
     started = true;
-    Result<const TupleBatch*> batch = NextImpl(ctx);
+    Result<TupleBatch*> batch = NextImpl(ctx);
     if (!batch.ok()) {
       failed = true;
     } else if (*batch != nullptr) {
@@ -175,23 +178,30 @@ class Cursor {
   std::uint64_t batches_out = 0;
 
  protected:
-  virtual Result<const TupleBatch*> NextImpl(EvalContext& ctx) = 0;
+  virtual Result<TupleBatch*> NextImpl(EvalContext& ctx) = 0;
   virtual Result<const XRelation*> MaterializeImpl(EvalContext& /*ctx*/) {
     return {nullptr};
   }
 };
 
-/// Drains `cursor` into a fresh relation (used where a consumer needs a
-/// stable, indexed whole — the join sides without a materialized form).
-Result<XRelation> CollectToRelation(Cursor* cursor, EvalContext& ctx) {
+/// Drains `cursor` into a fresh relation: the pipeline's terminal collect,
+/// and the join sides without a materialized form. Owned rows (α/⋈
+/// output) are moved in; borrowed rows are copied, inserted with their
+/// carried hash when the producer knew it. The relation grows
+/// geometrically — reserving each batch's exact size would re-reserve the
+/// tuples and rehash the index on every batch.
+Result<XRelation> Collect(Cursor* cursor, EvalContext& ctx) {
   XRelation out(cursor->schema);
   for (;;) {
-    SERENA_ASSIGN_OR_RETURN(const TupleBatch* batch, cursor->Next(ctx));
+    SERENA_ASSIGN_OR_RETURN(TupleBatch* batch, cursor->Next(ctx));
     if (batch == nullptr) break;
-    out.Reserve(out.size() + batch->size());
+    if (batch->owning()) {
+      for (std::size_t i = 0; i < batch->size(); ++i) {
+        out.InsertUnchecked(batch->TakeOwned(i));
+      }
+      continue;
+    }
     for (std::size_t i = 0; i < batch->size(); ++i) {
-      // Rows that flowed from a stream entry carry its append-time hash;
-      // inserting with it skips the only remaining per-row hash.
       if (const std::uint64_t hash = batch->hash_at(i); hash != 0) {
         out.InsertHashed(batch->at(i), hash);
       } else {
@@ -215,7 +225,7 @@ class ScanCursor final : public Cursor {
         batch_size_(batch_size) {}
 
  protected:
-  Result<const TupleBatch*> NextImpl(EvalContext& /*ctx*/) override {
+  Result<TupleBatch*> NextImpl(EvalContext& /*ctx*/) override {
     const std::vector<Tuple>& tuples = relation_->tuples();
     if (pos_ >= tuples.size()) return {nullptr};
     out_->Clear();
@@ -255,7 +265,7 @@ class WindowCursor final : public Cursor {
         batch_size_(batch_size) {}
 
  protected:
-  Result<const TupleBatch*> NextImpl(EvalContext& /*ctx*/) override {
+  Result<TupleBatch*> NextImpl(EvalContext& /*ctx*/) override {
     if (pos_ >= kept_.size()) return {nullptr};
     out_->Clear();
     const std::size_t n = std::min(batch_size_, kept_.size() - pos_);
@@ -286,7 +296,7 @@ class OpaqueCursor final : public Cursor {
         batch_size_(batch_size) {}
 
  protected:
-  Result<const TupleBatch*> NextImpl(EvalContext& ctx) override {
+  Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     SERENA_RETURN_NOT_OK(EvaluateOnce(ctx));
     const std::vector<Tuple>& tuples = evaluated_->tuples();
     if (pos_ >= tuples.size()) return {nullptr};
@@ -341,7 +351,7 @@ class FilterCursor final : public Cursor {
         out_(out) {}
 
  protected:
-  Result<const TupleBatch*> NextImpl(EvalContext& ctx) override {
+  Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     // One child batch per fill: survivor pointers borrow the child
     // batch's storage, which the child reuses on its next Next().
     for (;;) {
@@ -379,8 +389,9 @@ class FilterCursor final : public Cursor {
 /// π_Y: projects each row and deduplicates the output stream (projection
 /// can collapse distinct inputs), emitting first occurrences in input
 /// order — exactly the scalar operator's insertion sequence. The batch
-/// borrows the dedup table's stored tuples, so each output row is
-/// materialized once.
+/// borrows the stored first occurrences (a deque, so references survive
+/// later insertions) with their hashes, so each output row is
+/// materialized and hashed once.
 class ProjectCursor final : public Cursor {
  public:
   ProjectCursor(const PlanNode* node, ExtendedSchemaPtr schema, Cursor* child,
@@ -391,7 +402,10 @@ class ProjectCursor final : public Cursor {
         out_(out) {}
 
  protected:
-  Result<const TupleBatch*> NextImpl(EvalContext& ctx) override {
+  Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
+    const auto seen_at = [this](std::size_t position) -> const Tuple& {
+      return seen_[position];
+    };
     for (;;) {
       SERENA_ASSIGN_OR_RETURN(const TupleBatch* in, child_->Next(ctx));
       if (in == nullptr) return {nullptr};
@@ -399,14 +413,11 @@ class ProjectCursor final : public Cursor {
       for (std::size_t i = 0; i < in->size(); ++i) {
         Tuple projected = in->at(i).Project(coords_);
         const std::uint64_t hash = projected.Hash();
-        const auto [begin, end] = seen_.equal_range(hash);
-        bool duplicate = false;
-        for (auto it = begin; it != end && !duplicate; ++it) {
-          duplicate = it->second == projected;
+        if (!seen_index_.Insert(projected, hash, seen_.size(), seen_at)) {
+          continue;
         }
-        if (duplicate) continue;
-        const auto it = seen_.emplace(hash, std::move(projected));
-        out_->AppendRef(&it->second);
+        seen_.push_back(std::move(projected));
+        out_->AppendRef(&seen_.back(), hash);
       }
       if (!out_->empty()) return {out_};
     }
@@ -416,8 +427,8 @@ class ProjectCursor final : public Cursor {
   Cursor* child_;
   std::vector<std::size_t> coords_;
   TupleBatch* out_;
-  // Unordered-container references are stable, so batches may borrow.
-  std::unordered_multimap<std::uint64_t, Tuple> seen_;
+  std::deque<Tuple> seen_;
+  FlatTupleIndex seen_index_;
 };
 
 /// ρ_{A→B}: tuples are untouched — forwards the child's batches under the
@@ -428,7 +439,7 @@ class RenameCursor final : public Cursor {
       : Cursor(node, std::move(schema), /*native=*/true), child_(child) {}
 
  protected:
-  Result<const TupleBatch*> NextImpl(EvalContext& ctx) override {
+  Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     return child_->Next(ctx);
   }
 
@@ -458,7 +469,7 @@ class AssignCursor final : public Cursor {
         out_(out) {}
 
  protected:
-  Result<const TupleBatch*> NextImpl(EvalContext& ctx) override {
+  Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     SERENA_ASSIGN_OR_RETURN(const TupleBatch* in, child_->Next(ctx));
     if (in == nullptr) return {nullptr};
     out_->Clear();
@@ -512,7 +523,7 @@ class JoinCursor final : public Cursor {
         batch_size_(batch_size) {}
 
  protected:
-  Result<const TupleBatch*> NextImpl(EvalContext& ctx) override {
+  Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     if (!prepared_) {
       SERENA_RETURN_NOT_OK(Prepare(ctx));
       prepared_ = true;
@@ -559,13 +570,12 @@ class JoinCursor final : public Cursor {
     SERENA_ASSIGN_OR_RETURN(const XRelation* relation,
                             side->Materialize(ctx));
     if (relation != nullptr) return {relation};
-    SERENA_ASSIGN_OR_RETURN(XRelation collected,
-                            CollectToRelation(side, ctx));
+    SERENA_ASSIGN_OR_RETURN(XRelation collected, Collect(side, ctx));
     *store = std::move(collected);
     return {&**store};
   }
 
-  Result<const TupleBatch*> Cartesian() {
+  Result<TupleBatch*> Cartesian() {
     const std::vector<Tuple>& r1 = left_rel_->tuples();
     const std::vector<Tuple>& r2 = right_rel_->tuples();
     while (i1_ < r1.size()) {
@@ -582,7 +592,7 @@ class JoinCursor final : public Cursor {
     return {out_};
   }
 
-  Result<const TupleBatch*> Probe() {
+  Result<TupleBatch*> Probe() {
     const std::vector<Tuple>& tuples = probe_->tuples();
     if (built_.empty()) probe_idx_ = tuples.size();
     while (probe_idx_ < tuples.size() && out_->size() < batch_size_) {
@@ -675,33 +685,20 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
             static_cast<std::size_t>(window.period()), ctx.instant, &slice);
       }
       // Set semantics: keep the first occurrence of each tuple, exactly
-      // like the scalar window's insertions into its X-Relation. The
-      // entries carry their append-time hashes, so no tuple is hashed
-      // here; contents are only compared on a probe collision. Dedup
-      // runs on an open-addressing table (linear probing, power-of-two
-      // capacity at ≤50% load) instead of a node-based map: this loop
-      // touches every window row of every registered query each tick,
-      // and per-row node allocations would dominate the fused pipeline.
+      // like the scalar window's insertions into its X-Relation, on the
+      // same flat index. The entries carry their append-time hashes, so
+      // no tuple is hashed here.
       std::vector<HashedTupleRef> kept;
       kept.reserve(slice.size());
-      std::size_t capacity = 16;
-      while (capacity < slice.size() * 2) capacity <<= 1;
-      std::vector<const Tuple*> slots(capacity, nullptr);
-      std::vector<std::uint64_t> slot_hashes(capacity, 0);
+      FlatTupleIndex seen;
+      seen.Reserve(slice.size());
+      const auto kept_at = [&kept](std::size_t position) -> const Tuple& {
+        return *kept[position].tuple;
+      };
       for (const HashedTupleRef& ref : slice) {
-        std::size_t slot = ref.hash & (capacity - 1);
-        bool duplicate = false;
-        while (slots[slot] != nullptr) {
-          if (slot_hashes[slot] == ref.hash && *slots[slot] == *ref.tuple) {
-            duplicate = true;
-            break;
-          }
-          slot = (slot + 1) & (capacity - 1);
+        if (seen.Insert(*ref.tuple, ref.hash, kept.size(), kept_at)) {
+          kept.push_back(ref);
         }
-        if (duplicate) continue;
-        slots[slot] = ref.tuple;
-        slot_hashes[slot] = ref.hash;
-        kept.push_back(ref);
       }
       return AddCursor<WindowCursor>(pipeline, &node, (*stream)->schema_ptr(),
                                      std::move(kept),
@@ -825,26 +822,6 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
 // Pipeline execution
 // ---------------------------------------------------------------------------
 
-Result<XRelation> RunPipeline(Pipeline& pipeline, EvalContext& ctx) {
-  XRelation out(pipeline.root->schema);
-  for (;;) {
-    SERENA_ASSIGN_OR_RETURN(const TupleBatch* batch,
-                            pipeline.root->Next(ctx));
-    if (batch == nullptr) break;
-    out.Reserve(out.size() + batch->size());
-    for (std::size_t i = 0; i < batch->size(); ++i) {
-      // Rows that flowed from a stream entry carry its append-time hash;
-      // inserting with it skips the only remaining per-row hash.
-      if (const std::uint64_t hash = batch->hash_at(i); hash != 0) {
-        out.InsertHashed(batch->at(i), hash);
-      } else {
-        out.InsertUnchecked(batch->at(i));
-      }
-    }
-  }
-  return out;
-}
-
 /// Flushes the fused interior's statistics so EXPLAIN ANALYZE and the
 /// statistics store (and through it the `serena.op.*` counters) match the
 /// scalar path: each started native stage counts one eval, its emitted
@@ -928,7 +905,7 @@ std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
   const std::uint64_t start_ns =
       ctx.stats != nullptr ? obs::MonotonicNowNs() : 0;
 
-  Result<XRelation> result = RunPipeline(pipeline, ctx);
+  Result<XRelation> result = Collect(pipeline.root, ctx);
 
   if (ctx.stats != nullptr) {
     FlushStats(pipeline, node, *ctx.stats, obs::MonotonicNowNs() - start_ns);

@@ -1,8 +1,5 @@
 #include "optimizer/pipeline.h"
 
-#include <cstdlib>
-#include <iostream>
-#include <mutex>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -71,24 +68,6 @@ std::string OptimizerOptions::StagesString() const {
     out += name;
   }
   return out;
-}
-
-OptimizerOptions OptimizerOptions::FromEnv() {
-  const char* value = std::getenv("SERENA_OPTIMIZE");
-  if (value == nullptr || *value == '\0') return {};
-  static std::once_flag warned;
-  std::call_once(warned, [] {
-    std::cerr << "serena: SERENA_OPTIMIZE is deprecated and will be "
-                 "removed next release; use --stages= or "
-                 "OptimizerOptions (docs/OPTIMIZER.md)\n";
-  });
-  auto options = FromStages(value);
-  if (!options.ok()) {
-    std::cerr << "serena: ignoring SERENA_OPTIMIZE: "
-              << options.status().message() << "\n";
-    return {};
-  }
-  return *options;
 }
 
 std::string PipelineReport::Render() const {

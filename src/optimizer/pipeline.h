@@ -40,11 +40,6 @@ struct OptimizerOptions {
   /// "none", …).
   std::string StagesString() const;
 
-  /// Defaults, honoring the deprecated `SERENA_OPTIMIZE` variable as a
-  /// `FromStages` string with a one-release warning on first use
-  /// (docs/OPTIMIZER.md: use `--stages=`/`set_optimizer_options`).
-  static OptimizerOptions FromEnv();
-
   bool any() const { return semantic || cost || rules; }
 };
 

@@ -38,7 +38,7 @@ QueryProcessor::QueryProcessor(Environment* env, StreamStore* streams)
     : env_(env),
       streams_(streams),
       executor_(env, streams),
-      pipeline_(env, streams, optimizer::OptimizerOptions::FromEnv()),
+      pipeline_(env, streams, optimizer::OptimizerOptions{}),
       session_(env, streams, GateOptions()),
       analyze_(AnalyzeEnabledByEnv()) {}
 

@@ -38,9 +38,8 @@ class QueryProcessor {
   void set_optimize(bool optimize) { optimize_ = optimize; }
 
   /// The optimizer pipeline configuration: stage toggles (semantic /
-  /// cost / rules), estimator constants and enumeration limits. The
-  /// initial value honors the deprecated `SERENA_OPTIMIZE` variable
-  /// (`optimizer::OptimizerOptions::FromEnv`).
+  /// cost / rules), estimator constants and enumeration limits. Starts
+  /// from the defaults (every stage on).
   void set_optimizer_options(optimizer::OptimizerOptions options) {
     pipeline_.set_options(std::move(options));
   }

@@ -1,6 +1,7 @@
 #include "xrel/xrelation.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 
 #include "common/logging.h"
@@ -22,59 +23,38 @@ bool XRelation::InsertUnchecked(Tuple tuple) {
 }
 
 bool XRelation::InsertHashed(Tuple tuple, std::uint64_t hash) {
-  const auto [begin, end] = index_.equal_range(hash);
-  for (auto it = begin; it != end; ++it) {
-    if (tuples_[it->second] == tuple) return false;
-  }
-  index_.emplace(hash, tuples_.size());
+  assert(hash == tuple.Hash());
+  if (!index_.Insert(tuple, hash, tuples_.size(), TupleAt())) return false;
   tuples_.push_back(std::move(tuple));
   return true;
 }
 
 void XRelation::Reserve(std::size_t n) {
   tuples_.reserve(n);
-  index_.reserve(n);
+  index_.Reserve(n);
 }
 
 bool XRelation::Erase(const Tuple& tuple) {
-  const std::uint64_t h = tuple.Hash();
-  const auto [begin, end] = index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    if (tuples_[it->second] == tuple) {
-      const std::size_t victim = it->second;
-      const std::size_t last = tuples_.size() - 1;
-      index_.erase(it);
-      if (victim != last) {
-        // Move the last tuple into the hole and fix its index entry.
-        const std::uint64_t last_hash = tuples_[last].Hash();
-        tuples_[victim] = std::move(tuples_[last]);
-        const auto [lb, le] = index_.equal_range(last_hash);
-        for (auto jt = lb; jt != le; ++jt) {
-          if (jt->second == last) {
-            jt->second = victim;
-            break;
-          }
-        }
-      }
-      tuples_.pop_back();
-      return true;
-    }
+  const std::size_t victim = index_.Erase(tuple, tuple.Hash(), TupleAt());
+  if (victim == FlatTupleIndex::kNotFound) return false;
+  const std::size_t last = tuples_.size() - 1;
+  if (victim != last) {
+    // Move the last tuple into the hole and repoint its index entry.
+    index_.Relocate(tuples_[last].Hash(), last, victim);
+    tuples_[victim] = std::move(tuples_[last]);
   }
-  return false;
+  tuples_.pop_back();
+  return true;
 }
 
 bool XRelation::Contains(const Tuple& tuple) const {
-  const std::uint64_t h = tuple.Hash();
-  const auto [begin, end] = index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    if (tuples_[it->second] == tuple) return true;
-  }
-  return false;
+  return index_.Find(tuple, tuple.Hash(), TupleAt()) !=
+         FlatTupleIndex::kNotFound;
 }
 
 void XRelation::Clear() {
   tuples_.clear();
-  index_.clear();
+  index_.Clear();
 }
 
 Result<Value> XRelation::ProjectValue(const Tuple& tuple,

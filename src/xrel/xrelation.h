@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "schema/extended_schema.h"
 #include "types/tuple.h"
+#include "xrel/flat_tuple_index.h"
 
 namespace serena {
 
@@ -17,8 +17,10 @@ namespace serena {
 /// D^|realSchema(R)| — virtual attributes carry no coordinate.
 ///
 /// Set semantics are maintained on insertion (duplicates are ignored),
-/// matching the paper's definition. Iteration order is insertion order;
-/// use `Sorted()` for canonical output.
+/// matching the paper's definition, through a flat open-addressing index
+/// of positions into the tuple vector (`FlatTupleIndex`). Iteration order
+/// is insertion order; `Erase` moves the last tuple into the hole. Use
+/// `Sorted()` for canonical output.
 class XRelation {
  public:
   /// An empty X-Relation over `schema` (must be non-null).
@@ -43,7 +45,8 @@ class XRelation {
   /// Like `InsertUnchecked`, with the tuple's content hash supplied by a
   /// caller that already knows it (stream entries hash once at append
   /// time; the vectorized collect carries the hash through the
-  /// pipeline). `hash` must equal `tuple.Hash()`.
+  /// pipeline). `hash` must equal `tuple.Hash()` — a wrong hash would
+  /// admit duplicates, so builds without NDEBUG check it.
   bool InsertHashed(Tuple tuple, std::uint64_t hash);
 
   /// Pre-sizes tuple storage and the dedup index for `n` insertions.
@@ -73,10 +76,17 @@ class XRelation {
   std::string ToTableString() const;
 
  private:
+  /// The index's view of a position: the tuple stored there.
+  auto TupleAt() const {
+    return [this](std::size_t position) -> const Tuple& {
+      return tuples_[position];
+    };
+  }
+
   ExtendedSchemaPtr schema_;
   std::vector<Tuple> tuples_;
-  // Dedup index: hash of tuple -> indices into tuples_ with that hash.
-  std::unordered_multimap<std::uint64_t, std::size_t> index_;
+  // Dedup index over positions in tuples_.
+  FlatTupleIndex index_;
 };
 
 }  // namespace serena

@@ -1,5 +1,5 @@
 // Tests for the unified optimizer::Pipeline facade: typed stage options
-// (--stages= parsing, SERENA_OPTIMIZE deprecation path), stage gating,
+// (--stages= parsing), stage gating,
 // the cost-based join enumerator's reordering and schema preservation,
 // plan determinism under identical statistics snapshots, and the
 // fingerprint aliases that keep runtime statistics attached to
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -92,21 +91,6 @@ TEST_F(OptimizerPipelineTest, FromStagesRejectsUnknownStage) {
   const auto parsed = OptimizerOptions::FromStages("semantic,typo");
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("typo"), std::string::npos);
-}
-
-TEST_F(OptimizerPipelineTest, FromEnvHonorsDeprecatedVariable) {
-  setenv("SERENA_OPTIMIZE", "semantic,rules", 1);
-  const OptimizerOptions from_env = OptimizerOptions::FromEnv();
-  EXPECT_TRUE(from_env.semantic);
-  EXPECT_FALSE(from_env.cost);
-  EXPECT_TRUE(from_env.rules);
-  // A malformed value falls back to the defaults instead of crashing the
-  // embedding process.
-  setenv("SERENA_OPTIMIZE", "garbage-stage", 1);
-  EXPECT_TRUE(OptimizerOptions::FromEnv().any());
-  unsetenv("SERENA_OPTIMIZE");
-  const OptimizerOptions defaults = OptimizerOptions::FromEnv();
-  EXPECT_TRUE(defaults.semantic && defaults.cost && defaults.rules);
 }
 
 // --- Pipeline: stage gating ------------------------------------------------

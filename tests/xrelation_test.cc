@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "common/random.h"
 #include "schema/extended_schema.h"
 #include "service/prototype.h"
+#include "xrel/flat_tuple_index.h"
 
 namespace serena {
 namespace {
@@ -162,6 +167,220 @@ TEST(XRelationTest, TableStringShowsVirtualStar) {
   EXPECT_NE(table.find("text"), std::string::npos);
   EXPECT_NE(table.find("*"), std::string::npos);
   EXPECT_NE(table.find("'Nicolas'"), std::string::npos);
+}
+
+// --- Set contract: XRelation against an insertion-order reference model ---
+
+/// The reference for the set contract: a vector in insertion order, with
+/// `Erase` moving the last element into the hole.
+class ModelRelation {
+ public:
+  bool Insert(const Tuple& t) {
+    if (Find(t) != tuples_.size()) return false;
+    tuples_.push_back(t);
+    return true;
+  }
+  bool Erase(const Tuple& t) {
+    const std::size_t i = Find(t);
+    if (i == tuples_.size()) return false;
+    tuples_[i] = tuples_.back();
+    tuples_.pop_back();
+    return true;
+  }
+  bool Contains(const Tuple& t) const { return Find(t) != tuples_.size(); }
+  void Clear() { tuples_.clear(); }
+  const std::vector<Tuple>& tuples() const { return tuples_; }
+
+ private:
+  std::size_t Find(const Tuple& t) const {
+    return static_cast<std::size_t>(
+        std::find(tuples_.begin(), tuples_.end(), t) - tuples_.begin());
+  }
+  std::vector<Tuple> tuples_;
+};
+
+ExtendedSchemaPtr PairSchema() {
+  return ExtendedSchema::Create("pairs", {{"a", DataType::kInt},
+                                          {"b", DataType::kString}})
+      .ValueOrDie();
+}
+
+/// Drives `Insert`/`InsertUnchecked`/`InsertHashed`/`Erase`/`Contains`/
+/// `Clear` on one relation and the model with the same seeded operations
+/// over a value domain of about 2×`target` tuples, so the relation hovers
+/// near `target` and crosses every growth step up to it. Erases hit the
+/// last tuple, missing tuples and runs of insertion-order neighbours.
+void DriveAgainstModel(std::uint64_t seed, std::size_t target) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + ", target " +
+               std::to_string(target));
+  Rng rng(seed);
+  const std::int64_t domain = static_cast<std::int64_t>(target) + 1;
+  auto random_tuple = [&] {
+    return Tuple{Value::Int(rng.NextInt(0, domain)),
+                 Value::String(rng.NextBool(0.5) ? "x" : "y")};
+  };
+  XRelation relation(PairSchema());
+  ModelRelation model;
+  auto expect_same = [&](const char* after) {
+    SCOPED_TRACE(after);
+    ASSERT_EQ(relation.tuples(), model.tuples());
+    for (const Tuple& t : model.tuples()) ASSERT_TRUE(relation.Contains(t));
+  };
+  const std::size_t ops = 6 * target + 64;
+  // Whole-relation comparisons are O(n); space them out on big relations.
+  const std::size_t check_every = target < 64 ? 1 : 97;
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::uint64_t kind = rng.NextBounded(100);
+    if (kind < 45) {
+      Tuple t = random_tuple();
+      const bool expected = model.Insert(t);
+      switch (op % 3) {
+        case 0:
+          ASSERT_EQ(relation.Insert(t).ValueOrDie(), expected);
+          break;
+        case 1:
+          ASSERT_EQ(relation.InsertUnchecked(t), expected);
+          break;
+        default: {
+          const std::uint64_t hash = t.Hash();
+          ASSERT_EQ(relation.InsertHashed(std::move(t), hash), expected);
+        }
+      }
+    } else if (kind < 65) {
+      const Tuple t = random_tuple();  // Present or missing.
+      ASSERT_EQ(relation.Erase(t), model.Erase(t));
+    } else if (kind < 72 && !model.tuples().empty()) {
+      const Tuple last = model.tuples().back();
+      ASSERT_TRUE(model.Erase(last));
+      ASSERT_TRUE(relation.Erase(last));
+    } else if (kind < 80 && !model.tuples().empty()) {
+      // A run of neighbours: each erase moves the then-last tuple into the
+      // hole, so the run mixes positions from both ends.
+      const std::size_t start = rng.NextBounded(model.tuples().size());
+      const std::size_t run =
+          std::min<std::size_t>(1 + rng.NextBounded(8),
+                                model.tuples().size() - start);
+      std::vector<Tuple> victims(model.tuples().begin() + start,
+                                 model.tuples().begin() + start + run);
+      for (const Tuple& t : victims) {
+        ASSERT_TRUE(model.Erase(t));
+        ASSERT_TRUE(relation.Erase(t));
+        ASSERT_FALSE(relation.Contains(t));
+      }
+    } else if (kind < 81) {
+      // Clear, then re-insert earlier tuples: each is admitted exactly once.
+      const std::vector<Tuple> before = model.tuples();
+      relation.Clear();
+      model.Clear();
+      ASSERT_TRUE(relation.empty());
+      for (const Tuple& t : before) {
+        ASSERT_FALSE(relation.Contains(t));
+        ASSERT_TRUE(relation.InsertUnchecked(t));
+        ASSERT_FALSE(relation.InsertUnchecked(t));
+        model.Insert(t);
+      }
+    } else {
+      const Tuple t = random_tuple();
+      ASSERT_EQ(relation.Contains(t), model.Contains(t));
+    }
+    ASSERT_EQ(relation.size(), model.tuples().size());
+    if (op % check_every == 0) expect_same("operation");
+  }
+  expect_same("end of run");
+
+  // Copies are independent of their source.
+  XRelation copy = relation;
+  ASSERT_EQ(copy.tuples(), model.tuples());
+  const Tuple fresh{Value::Int(domain + 1), Value::String("z")};
+  ASSERT_TRUE(copy.InsertUnchecked(fresh));
+  ASSERT_FALSE(relation.Contains(fresh));
+  if (!model.tuples().empty()) {
+    const Tuple first = model.tuples().front();
+    ASSERT_TRUE(copy.Erase(first));
+    ASSERT_TRUE(relation.Contains(first));
+  }
+  expect_same("copy mutated");
+
+  // A move carries the set; the moved-from relation is reusable once
+  // cleared.
+  XRelation moved = std::move(relation);
+  ASSERT_EQ(moved.tuples(), model.tuples());
+  for (const Tuple& t : model.tuples()) ASSERT_FALSE(moved.InsertUnchecked(t));
+  relation = std::move(copy);
+  relation.Clear();
+  ASSERT_TRUE(relation.InsertUnchecked(fresh));
+  ASSERT_FALSE(relation.InsertUnchecked(fresh));
+  ASSERT_EQ(relation.size(), 1u);
+}
+
+TEST(XRelationTest, SetContractMatchesInsertionOrderModel) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    for (std::size_t target : {1, 2, 3, 5, 8, 13, 40, 300, 2500}) {
+      DriveAgainstModel(seed * 1000 + target, target);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// --- FlatTupleIndex: probe runs that wrap around the table end -----------
+
+/// Hashes below 2^32 are their own tag, so `hash & 15` is the home slot in
+/// a 16-slot table and a test can place entries exactly.
+TEST(FlatTupleIndexTest, BackwardShiftWrapsAroundTheTableEnd) {
+  std::vector<Tuple> stored;
+  for (std::int64_t i = 0; i < 8; ++i) stored.push_back(Tuple{Value::Int(i)});
+  const auto at = [&stored](std::size_t p) -> const Tuple& {
+    return stored[p];
+  };
+  // Homes 14, 15, 15, 14, 0, 15: one run occupying slots 14..15 and 0..3.
+  const std::vector<std::uint64_t> hashes = {14, 15, 15, 14, 0, 15};
+  for (std::size_t erase_first = 0; erase_first < hashes.size();
+       ++erase_first) {
+    SCOPED_TRACE("erase " + std::to_string(erase_first) + " first");
+    FlatTupleIndex index;
+    for (std::size_t p = 0; p < hashes.size(); ++p) {
+      ASSERT_TRUE(index.Insert(stored[p], hashes[p], p, at));
+      ASSERT_FALSE(index.Insert(stored[p], hashes[p], p, at));
+    }
+    // Erase in rotating order; every survivor must stay reachable from
+    // its home slot after each backward shift.
+    std::vector<bool> present(hashes.size(), true);
+    for (std::size_t k = 0; k < hashes.size(); ++k) {
+      const std::size_t victim = (erase_first + k) % hashes.size();
+      ASSERT_EQ(index.Erase(stored[victim], hashes[victim], at), victim);
+      ASSERT_EQ(index.Erase(stored[victim], hashes[victim], at),
+                FlatTupleIndex::kNotFound);
+      present[victim] = false;
+      for (std::size_t p = 0; p < hashes.size(); ++p) {
+        ASSERT_EQ(index.Find(stored[p], hashes[p], at),
+                  present[p] ? p : FlatTupleIndex::kNotFound)
+            << "position " << p;
+      }
+    }
+    EXPECT_EQ(index.size(), 0u);
+  }
+}
+
+TEST(FlatTupleIndexTest, EqualHashesCompareContents) {
+  std::vector<Tuple> stored = {Tuple{Value::Int(1)}, Tuple{Value::Int(2)},
+                               Tuple{Value::Int(3)}};
+  const auto at = [&stored](std::size_t p) -> const Tuple& {
+    return stored[p];
+  };
+  FlatTupleIndex index;
+  for (std::size_t p = 0; p < stored.size(); ++p) {
+    ASSERT_TRUE(index.Insert(stored[p], 7, p, at));
+  }
+  EXPECT_FALSE(index.Insert(Tuple{Value::Int(2)}, 7, 9, at));
+  EXPECT_EQ(index.Find(Tuple{Value::Int(3)}, 7, at), 2u);
+  EXPECT_EQ(index.Find(Tuple{Value::Int(4)}, 7, at),
+            FlatTupleIndex::kNotFound);
+  // Moving the tuple at position 2 to position 0 repoints its entry.
+  ASSERT_EQ(index.Erase(stored[0], 7, at), 0u);
+  index.Relocate(7, 2, 0);
+  stored[0] = stored[2];
+  EXPECT_EQ(index.Find(Tuple{Value::Int(3)}, 7, at), 0u);
+  EXPECT_EQ(index.Find(Tuple{Value::Int(2)}, 7, at), 1u);
 }
 
 }  // namespace
