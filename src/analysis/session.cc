@@ -37,6 +37,16 @@ Status ParseCodeList(std::string_view list, std::set<DiagCode>* out,
   return Status::OK();
 }
 
+/// Removes `index` from `stream`'s entry in `index_of`, dropping the
+/// entry once no query is left on the stream.
+void EraseIndex(const std::string& stream, std::size_t index,
+                std::map<std::string, std::vector<std::size_t>>* index_of) {
+  const auto it = index_of->find(stream);
+  if (it == index_of->end()) return;
+  std::erase(it->second, index);
+  if (it->second.empty()) index_of->erase(it);
+}
+
 void CountQueries(const char* counter, std::size_t n) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   if (metrics.enabled() && n > 0) metrics.GetCounter(counter).Increment(n);
@@ -141,7 +151,7 @@ void Session::CommitQuery(const std::string& name, const PlanPtr& plan,
   const std::size_t index = queries_.size();
   queries_.push_back(std::move(facts));
   for (const std::string& stream : queries_[index].feeds) {
-    producer_of_.emplace(stream, index);
+    feeders_of_[stream].push_back(index);
   }
   for (const std::string& stream : queries_[index].reads) {
     readers_of_[stream].push_back(index);
@@ -153,27 +163,29 @@ void Session::RemoveQuery(const std::string& name) {
       queries_.begin(), queries_.end(),
       [&name](const QueryFacts& facts) { return facts.name == name; });
   if (it == queries_.end()) return;
+  const std::size_t index = static_cast<std::size_t>(it - queries_.begin());
+  // Drop the query from its own streams, then shift the later queries'
+  // indices down by one; no other stream entry changes.
+  for (const std::string& stream : it->feeds) {
+    EraseIndex(stream, index, &feeders_of_);
+  }
+  for (const std::string& stream : it->reads) {
+    EraseIndex(stream, index, &readers_of_);
+  }
   queries_.erase(it);
-  ReindexStreams();
+  for (auto* streams : {&feeders_of_, &readers_of_}) {
+    for (auto& [stream, indices] : *streams) {
+      for (std::size_t& i : indices) {
+        if (i > index) --i;
+      }
+    }
+  }
 }
 
 void Session::Clear() {
   queries_.clear();
-  producer_of_.clear();
+  feeders_of_.clear();
   readers_of_.clear();
-}
-
-void Session::ReindexStreams() {
-  producer_of_.clear();
-  readers_of_.clear();
-  for (std::size_t i = 0; i < queries_.size(); ++i) {
-    for (const std::string& stream : queries_[i].feeds) {
-      producer_of_.emplace(stream, i);
-    }
-    for (const std::string& stream : queries_[i].reads) {
-      readers_of_[stream].push_back(i);
-    }
-  }
 }
 
 std::vector<std::string> Session::QueryNames() const {
@@ -201,13 +213,14 @@ Result<std::vector<Diagnostic>> Session::LintRegistration(
   // Writer/writer conflicts (SER042): only the candidate's feeds can
   // introduce one — the committed set is conflict-free by invariant.
   for (const std::string& stream : feeds) {
-    const auto producer = producer_of_.find(stream);
-    if (producer != producer_of_.end() &&
-        queries_[producer->second].name != name) {
+    const auto feeders = feeders_of_.find(stream);
+    if (feeders == feeders_of_.end()) continue;
+    const std::string& producer = queries_[feeders->second.front()].name;
+    if (producer != name) {
       frontier.push_back(Diagnostic{
           DiagCode::kWriterConflict, Diagnostic::Severity::kError,
           /*node=*/{},
-          "queries '" + queries_[producer->second].name + "' and '" + name +
+          "queries '" + producer + "' and '" + name +
               "' both feed derived stream '" + stream +
               "': readers would observe a scheduling-dependent merge",
           "give each writer its own stream, or union the plans into one "
@@ -222,7 +235,7 @@ Result<std::vector<Diagnostic>> Session::LintRegistration(
   const std::set<std::string> source_fed(options_.source_fed_streams.begin(),
                                          options_.source_fed_streams.end());
   for (const std::string& stream : reads) {
-    if (producer_of_.count(stream) > 0 || feed_set.count(stream) > 0 ||
+    if (feeders_of_.count(stream) > 0 || feed_set.count(stream) > 0 ||
         source_fed.count(stream) > 0) {
       continue;
     }

@@ -159,7 +159,6 @@ class Session {
   std::vector<Diagnostic> Finalize(std::vector<Diagnostic> diagnostics) const;
 
   const QueryFacts* Find(const std::string& name) const;
-  void ReindexStreams();
 
   const Environment* env_;
   const StreamStore* streams_;
@@ -168,9 +167,11 @@ class Session {
   /// Committed facts in registration order (diagnostics ordering of the
   /// full lint must match the executor's registration order).
   std::vector<QueryFacts> queries_;
-  /// stream -> index into queries_ of its (unique) feeding query.
-  std::map<std::string, std::size_t> producer_of_;
-  /// stream -> indices of queries windowing over it.
+  /// stream -> indices into queries_ of the queries feeding it,
+  /// ascending. The first is the stream's producer; more than one only
+  /// when a registration skipped the lint (SER042).
+  std::map<std::string, std::vector<std::size_t>> feeders_of_;
+  /// stream -> indices of queries windowing over it, ascending.
   std::map<std::string, std::vector<std::size_t>> readers_of_;
 };
 

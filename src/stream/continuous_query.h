@@ -35,10 +35,11 @@ class ContinuousQuery {
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
   /// Streams this query's sink writes into (derived-stream pipelines,
-  /// §5.1). The executor uses these declarations to schedule dependent
-  /// queries after their producers within one tick; a query whose sink
-  /// feeds a stream without declaring it here may race with concurrent
-  /// readers of that stream under a parallel executor.
+  /// §5.1). The executor reads these declarations when the query is
+  /// registered, to schedule dependent queries after their producers
+  /// within one tick; a query whose sink feeds a stream without
+  /// declaring it here may race with concurrent readers of that stream
+  /// under a parallel executor.
   void set_feeds(std::vector<std::string> feeds) {
     feeds_ = std::move(feeds);
   }

@@ -37,12 +37,10 @@ const ExecutorInstruments& Instruments() {
   return instruments;
 }
 
-bool Intersects(const std::vector<std::string>& a,
-                const std::vector<std::string>& b) {
-  for (const std::string& x : a) {
-    if (std::find(b.begin(), b.end(), x) != b.end()) return true;
-  }
-  return false;
+void MergeDemand(const ContinuousExecutor::WindowDemand& from,
+                 ContinuousExecutor::WindowDemand* into) {
+  into->max_period = std::max(into->max_period, from.max_period);
+  into->max_rows = std::max(into->max_rows, from.max_rows);
 }
 
 }  // namespace
@@ -86,54 +84,62 @@ Status ContinuousExecutor::Register(ContinuousQueryPtr query) {
   if (name.empty()) {
     return Status::InvalidArgument("continuous query must be named");
   }
-  for (const Entry& existing : entries_) {
-    if (existing.query->name() == name) {
-      return Status::AlreadyExists("continuous query '", name,
-                                   "' already registered");
-    }
+  obs::Span span("executor.register", env_->clock().now(), name);
+  if (entry_index_.count(name) > 0) {
+    return Status::AlreadyExists("continuous query '", name,
+                                 "' already registered");
   }
   Entry entry;
   std::map<std::string, WindowDemand> demands;
   std::set<std::string> scans;
   CollectLeaves(query->plan(), &demands, &scans);
   for (const auto& [stream, demand] : demands) {
-    entry.reads.push_back(stream);
+    entry.reads.push_back(StreamRead{InternStream(stream), demand});
+    MergeDemand(demand, &window_demand_[stream]);
+  }
+  for (const std::string& stream : query->feeds()) {
+    entry.feeds.push_back(InternStream(stream));
   }
   for (const std::string& relation : scans) {
     if (scan_counts_[relation]++ == 0) scanned_relations_.insert(relation);
   }
+  entry.scans.assign(scans.begin(), scans.end());
   entry.query = std::move(query);
+  const std::size_t index = entries_.size();
   entries_.push_back(std::move(entry));
-  RebuildSchedule();
+  entry_index_.emplace(name, index);
+  Place(index);
   health_.Register(name, env_->clock().now());
   return Status::OK();
 }
 
 Status ContinuousExecutor::Unregister(const std::string& name) {
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->query->name() == name) {
-      std::set<std::string> scans;
-      CollectLeaves(it->query->plan(), /*demands=*/nullptr, &scans);
-      for (const std::string& relation : scans) {
-        if (--scan_counts_[relation] == 0) {
-          scan_counts_.erase(relation);
-          scanned_relations_.erase(relation);
-        }
-      }
-      entries_.erase(it);
-      RebuildSchedule();
-      health_.Unregister(name);
-      return Status::OK();
+  const auto found = entry_index_.find(name);
+  if (found == entry_index_.end()) {
+    return Status::NotFound("continuous query '", name, "' not registered");
+  }
+  obs::Span span("executor.unregister", env_->clock().now(), name);
+  const std::size_t index = found->second;
+  for (const std::string& relation : entries_[index].scans) {
+    if (--scan_counts_[relation] == 0) {
+      scan_counts_.erase(relation);
+      scanned_relations_.erase(relation);
     }
   }
-  return Status::NotFound("continuous query '", name, "' not registered");
+  health_.Unregister(name);
+  entry_index_.erase(found);
+  for (auto& [other, i] : entry_index_) {
+    if (i > index) --i;
+  }
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(index));
+  RebuildSchedule();
+  return Status::OK();
 }
 
 Result<ContinuousQueryPtr> ContinuousExecutor::GetQuery(
     const std::string& name) const {
-  for (const Entry& entry : entries_) {
-    if (entry.query->name() == name) return entry.query;
-  }
+  const auto found = entry_index_.find(name);
+  if (found != entry_index_.end()) return entries_[found->second].query;
   return Status::NotFound("continuous query '", name, "' not registered");
 }
 
@@ -175,34 +181,74 @@ Status ContinuousExecutor::RefreshScannedBy(const PlanPtr& plan) const {
   return refresher_(scans);
 }
 
-void ContinuousExecutor::RebuildSchedule() {
-  window_demand_.clear();
-  for (const Entry& entry : entries_) {
-    CollectLeaves(entry.query->plan(), &window_demand_, /*scans=*/nullptr);
+std::uint32_t ContinuousExecutor::InternStream(const std::string& name) {
+  const auto [it, inserted] = stream_ids_.emplace(
+      name, static_cast<std::uint32_t>(stream_names_.size()));
+  if (inserted) {
+    stream_names_.push_back(name);
+    feeder_top_.push_back(0);
+    reader_top_.push_back(0);
   }
+  return it->second;
+}
 
+void ContinuousExecutor::Place(std::size_t index) {
   // Dependency levels: query j (registered earlier) must finish before
-  // query i when j's sink feeds a stream that i reads or feeds, or when
-  // both feed the same stream (append order), or when j reads a stream i
+  // query i when j feeds a stream that i reads or feeds, or when both
+  // feed the same stream (append order), or when j reads a stream i
   // feeds (j must see the pre-append state, as it did serially). Levels
   // are barriers; within a level queries touch disjoint feed/read state
-  // and may step concurrently.
-  std::vector<std::size_t> level(entries_.size(), 0);
-  schedule_.clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const std::vector<std::string>& reads_i = entries_[i].reads;
-    const std::vector<std::string>& feeds_i = entries_[i].query->feeds();
-    for (std::size_t j = 0; j < i; ++j) {
-      const std::vector<std::string>& feeds_j = entries_[j].query->feeds();
-      const bool dependent = Intersects(feeds_j, reads_i) ||
-                             Intersects(feeds_j, feeds_i) ||
-                             (!feeds_i.empty() &&
-                              Intersects(entries_[j].reads, feeds_i));
-      if (dependent) level[i] = std::max(level[i], level[j] + 1);
-    }
-    if (level[i] >= schedule_.size()) schedule_.resize(level[i] + 1);
-    schedule_[level[i]].push_back(i);
+  // and may step concurrently. Every placed query is earlier than this
+  // one, so the per-stream maxima over them decide its level.
+  const Entry& entry = entries_[index];
+  std::size_t level = 0;
+  for (const StreamRead& read : entry.reads) {
+    level = std::max(level, feeder_top_[read.stream]);
   }
+  for (const std::uint32_t stream : entry.feeds) {
+    level = std::max({level, feeder_top_[stream], reader_top_[stream]});
+  }
+  for (const StreamRead& read : entry.reads) {
+    reader_top_[read.stream] = std::max(reader_top_[read.stream], level + 1);
+  }
+  for (const std::uint32_t stream : entry.feeds) {
+    feeder_top_[stream] = std::max(feeder_top_[stream], level + 1);
+  }
+  if (level >= schedule_.size()) schedule_.resize(level + 1);
+  schedule_[level].push_back(index);
+}
+
+void ContinuousExecutor::RebuildSchedule() {
+  schedule_.clear();
+  std::fill(feeder_top_.begin(), feeder_top_.end(), 0);
+  std::fill(reader_top_.begin(), reader_top_.end(), 0);
+  std::vector<WindowDemand> demand(stream_names_.size());
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    Place(i);
+    for (const StreamRead& read : entries_[i].reads) {
+      MergeDemand(read.demand, &demand[read.stream]);
+    }
+  }
+  // A stream some query still reads has a nonzero reader maximum.
+  window_demand_.clear();
+  for (std::uint32_t stream = 0; stream < demand.size(); ++stream) {
+    if (reader_top_[stream] > 0) {
+      window_demand_.emplace(stream_names_[stream], demand[stream]);
+    }
+  }
+}
+
+ContinuousExecutor::ScheduleSnapshot ContinuousExecutor::Schedule() const {
+  ScheduleSnapshot snapshot;
+  snapshot.levels.reserve(schedule_.size());
+  for (const std::vector<std::size_t>& level : schedule_) {
+    std::vector<std::string>& names = snapshot.levels.emplace_back();
+    for (const std::size_t i : level) {
+      names.push_back(entries_[i].query->name());
+    }
+  }
+  snapshot.window_demand = window_demand_;
+  return snapshot;
 }
 
 Timestamp ContinuousExecutor::Tick() {

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -102,6 +103,9 @@ class ContinuousExecutor {
   /// Registers a continuous query under its name. Dependent queries are
   /// evaluated in registration order each tick, so upstream stages of a
   /// derived-stream pipeline should be registered before their consumers.
+  /// The query's feeds and windows are read here, once: set its feeds
+  /// before registering it. Costs O(the query's streams); unregistering
+  /// re-places the remaining queries in one linear pass.
   Status Register(ContinuousQueryPtr query);
   Status Unregister(const std::string& name);
   Result<ContinuousQueryPtr> GetQuery(const std::string& name) const;
@@ -154,18 +158,43 @@ class ContinuousExecutor {
   const QueryHealth& health() const { return health_; }
   QueryHealth& health() { return health_; }
 
- private:
+  /// The widest windows the registered queries place on one stream: how
+  /// much history the executor's pruning must keep.
   struct WindowDemand {
     Timestamp max_period = 0;    ///< Widest time window on the stream.
     std::size_t max_rows = 0;    ///< Largest row window on the stream.
+
+    bool operator==(const WindowDemand&) const = default;
   };
 
-  /// One registered query plus its scheduling inputs, derived once at
+  /// A read-only copy of the dependency schedule.
+  struct ScheduleSnapshot {
+    /// Query names per barrier level, in step order within each level.
+    std::vector<std::vector<std::string>> levels;
+    /// Per stream, the widest windows any registered query reads it
+    /// through.
+    std::map<std::string, WindowDemand> window_demand;
+  };
+  ScheduleSnapshot Schedule() const;
+
+ private:
+  /// One stream a query's plan windows over, with the widest windows the
+  /// plan places on it.
+  struct StreamRead {
+    std::uint32_t stream;  ///< Interned id (see InternStream).
+    WindowDemand demand;
+  };
+
+  /// One registered query plus its scheduling facts, derived once at
   /// registration time.
   struct Entry {
     ContinuousQueryPtr query;
     /// Streams the query's plan reads through Window nodes.
-    std::vector<std::string> reads;
+    std::vector<StreamRead> reads;
+    /// Interned ids of the streams the query feeds.
+    std::vector<std::uint32_t> feeds;
+    /// Relations the query's plan scans.
+    std::vector<std::string> scans;
     /// Cached per-query step-latency histogram (resolved lazily).
     obs::Histogram* step_histogram = nullptr;
   };
@@ -176,9 +205,16 @@ class ContinuousExecutor {
                             std::map<std::string, WindowDemand>* demands,
                             std::set<std::string>* scans);
 
-  /// Recomputes `schedule_` (dependency levels over `entries_`) and
-  /// `window_demand_` (per-stream prune horizon). Called whenever the
-  /// query set changes.
+  /// The small id of stream `name`, assigned on first sight.
+  std::uint32_t InternStream(const std::string& name);
+
+  /// Appends `entries_[index]`, which must be last in registration order
+  /// among the placed entries, to the schedule level the per-stream
+  /// maxima dictate, then raises the maxima by it. O(reads + feeds).
+  void Place(std::size_t index);
+
+  /// Re-places every entry and recomputes `window_demand_` from the
+  /// cached facts: one linear pass, run when a query leaves.
   void RebuildSchedule();
 
   struct SourceEntry {
@@ -197,6 +233,15 @@ class ContinuousExecutor {
   // Barrier levels of entry indices: level k only starts once level k-1
   // finished; entries within one level are mutually independent.
   std::vector<std::vector<std::size_t>> schedule_;
+  // Name -> index into entries_.
+  std::unordered_map<std::string, std::size_t> entry_index_;
+  // Interned stream names: id -> name, and name -> id.
+  std::vector<std::string> stream_names_;
+  std::unordered_map<std::string, std::uint32_t> stream_ids_;
+  // Per stream id, one past the highest level of any placed query that
+  // feeds (reads) the stream; 0 when none does.
+  std::vector<std::size_t> feeder_top_;
+  std::vector<std::size_t> reader_top_;
   // Widest window any registered query places on each stream, maintained
   // at (un)registration instead of re-walking every plan per tick.
   std::map<std::string, WindowDemand> window_demand_;

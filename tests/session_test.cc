@@ -14,6 +14,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/query_set.h"
+#include "common/random.h"
 #include "ddl/algebra_parser.h"
 #include "env/scenario.h"
 #include "obs/metrics.h"
@@ -335,6 +336,88 @@ TEST_F(SessionTest, FrontierLintTouchesOnlyTheDependencyFrontier) {
   EXPECT_EQ(
       metrics.GetCounter("serena.analyze.frontier_queries").value() - before,
       5u);
+}
+
+TEST_F(SessionTest, RemovingAQueryReindexesOnlyItsStreams) {
+  for (int i = 1; i <= 6; ++i) AddStream("s" + std::to_string(i));
+  Session session = MakeSession();
+  // The chain q_i: reads s_i, feeds s_{i+1}; removing q2 shifts q3..q5.
+  for (int i = 1; i <= 5; ++i) {
+    session.CommitQuery("q" + std::to_string(i),
+                        Parse("window[1](s" + std::to_string(i) + ")"),
+                        {"s" + std::to_string(i + 1)});
+  }
+  session.RemoveQuery("q2");
+  EXPECT_EQ(session.QueryNames(),
+            (std::vector<std::string>{"q1", "q3", "q4", "q5"}));
+
+  // s3 lost its producer: feeding it is no conflict, reading it dangles.
+  EXPECT_FALSE(HasCode(
+      session.LintRegistration("c", Parse("window[1](s1)"), {"s3"})
+          .ValueOrDie(),
+      DiagCode::kWriterConflict));
+  EXPECT_TRUE(HasCode(
+      session.LintRegistration("c", Parse("window[1](s3)"), {}).ValueOrDie(),
+      DiagCode::kDanglingSource));
+  // The shifted producers and readers still resolve to the right names.
+  const auto conflict =
+      session.LintRegistration("c", Parse("window[1](s1)"), {"s4"})
+          .ValueOrDie();
+  EXPECT_NE(FindCode(conflict, DiagCode::kWriterConflict)
+                .message.find("'q3' and 'c'"),
+            std::string::npos);
+  const auto cycle =
+      session.LintRegistration("c", Parse("window[1](s5)"), {"s3"})
+          .ValueOrDie();
+  EXPECT_NE(FindCode(cycle, DiagCode::kQueryCycle)
+                .message.find("c -> q3 -> q4 -> c"),
+            std::string::npos);
+}
+
+TEST_F(SessionTest, RemovalMatchesAFreshlyCommittedSession) {
+  for (int i = 0; i < 5; ++i) AddStream("s" + std::to_string(i));
+  const auto window = [this](std::uint64_t k) {
+    return Parse("window[1](s" + std::to_string(k) + ")");
+  };
+  struct Committed {
+    std::string name;
+    std::uint64_t read;
+    std::vector<std::string> feeds;
+  };
+  Rng rng(7);
+  Session session = MakeSession();
+  std::vector<Committed> committed;
+  for (int op = 0; op < 200; ++op) {
+    if (committed.empty() || rng.NextBool(0.55)) {
+      Committed query{"q" + std::to_string(op), rng.NextBounded(5), {}};
+      // Unlinted commits may feed a stream twice or share a writer.
+      for (std::int64_t f = rng.NextInt(0, 2); f > 0; --f) {
+        query.feeds.push_back("s" + std::to_string(rng.NextBounded(5)));
+      }
+      session.CommitQuery(query.name, window(query.read), query.feeds);
+      committed.push_back(std::move(query));
+      continue;
+    }
+    const std::size_t k = rng.NextBounded(committed.size());
+    session.RemoveQuery(committed[k].name);
+    committed.erase(committed.begin() + static_cast<std::ptrdiff_t>(k));
+
+    Session fresh = MakeSession();
+    for (const Committed& query : committed) {
+      fresh.CommitQuery(query.name, window(query.read), query.feeds);
+    }
+    for (std::uint64_t read = 0; read < 5; ++read) {
+      const std::vector<std::string> feeds = {
+          "s" + std::to_string(rng.NextBounded(5))};
+      EXPECT_EQ(
+          RenderDiagnostics(
+              session.LintRegistration("c", window(read), feeds)
+                  .ValueOrDie()),
+          RenderDiagnostics(
+              fresh.LintRegistration("c", window(read), feeds).ValueOrDie()))
+          << "after operation " << op;
+    }
+  }
 }
 
 // --- Whole-set lint / CheckAll ---------------------------------------------
