@@ -1,7 +1,8 @@
 #include "algebra/aggregate.h"
 
-#include <map>
-#include <unordered_map>
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 
 #include "common/string_util.h"
 
@@ -65,51 +66,23 @@ Result<DataType> AggregateOutputType(AggregateFn fn, DataType input_type,
   return Status::Internal("unknown aggregate");
 }
 
-/// Streaming accumulator for one (group, spec) cell.
-struct Accumulator {
-  std::int64_t count = 0;
-  double sum = 0.0;
-  std::int64_t isum = 0;
-  bool all_int = true;
-  Value min;
-  Value max;
-
-  void Add(const Value* v) {
-    ++count;
-    if (v == nullptr) return;
-    if (v->is_int()) {
-      isum += v->int_value();
-      sum += static_cast<double>(v->int_value());
-    } else if (v->is_real()) {
-      all_int = false;
-      sum += v->real_value();
-    }
-    if (count == 1) {
-      min = *v;
-      max = *v;
-    } else {
-      if (*v < min) min = *v;
-      if (max < *v) max = *v;
-    }
+/// `Tuple::operator<` made a strict weak order: NaN compares unordered
+/// with every number there, so it is ranked after all numbers (and level
+/// with another NaN) for the sort to be well defined.
+bool KeyLess(const Tuple& a, const Tuple& b) {
+  const auto is_nan = [](const Value& v) {
+    return v.is_real() && std::isnan(v.real_value());
+  };
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a[i] < b[i]) return true;
+    if (b[i] < a[i]) return false;
+    const bool a_nan = is_nan(a[i]);
+    const bool b_nan = is_nan(b[i]);
+    if (a_nan != b_nan) return b_nan;
   }
-
-  Result<Value> Finish(AggregateFn fn) const {
-    switch (fn) {
-      case AggregateFn::kCount:
-        return Value::Int(count);
-      case AggregateFn::kSum:
-        return all_int ? Value::Int(isum) : Value::Real(sum);
-      case AggregateFn::kAvg:
-        if (count == 0) return Status::Internal("avg of empty group");
-        return Value::Real(sum / static_cast<double>(count));
-      case AggregateFn::kMin:
-        return min;
-      case AggregateFn::kMax:
-        return max;
-    }
-    return Status::Internal("unknown aggregate");
-  }
-};
+  return a.size() < b.size();
+}
 
 }  // namespace
 
@@ -156,48 +129,115 @@ Result<ExtendedSchemaPtr> AggregateSchema(
                                 std::move(attributes));
 }
 
-Result<XRelation> Aggregate(const XRelation& r,
-                            const std::vector<std::string>& group_by,
-                            const std::vector<AggregateSpec>& aggregates) {
-  SERENA_ASSIGN_OR_RETURN(
-      ExtendedSchemaPtr schema,
-      AggregateSchema(r.schema_ptr(), group_by, aggregates));
-
-  SERENA_ASSIGN_OR_RETURN(std::vector<std::size_t> key_coords,
-                          r.schema().CoordinatesOf(group_by));
-  std::vector<std::size_t> input_coords(aggregates.size(), 0);
-  std::vector<bool> has_input(aggregates.size(), false);
-  for (std::size_t i = 0; i < aggregates.size(); ++i) {
-    if (!aggregates[i].input.empty()) {
-      input_coords[i] = *r.schema().CoordinateOf(aggregates[i].input);
-      has_input[i] = true;
-    }
+void Aggregator::Cell::Add(AggregateFn fn, const Value* v) {
+  ++count;
+  if (v == nullptr) return;
+  switch (fn) {
+    case AggregateFn::kCount:
+      return;
+    case AggregateFn::kSum:
+    case AggregateFn::kAvg:
+      if (v->is_int()) {
+        // Wraps on overflow instead of the undefined signed overflow.
+        isum = static_cast<std::int64_t>(static_cast<std::uint64_t>(isum) +
+                                         static_cast<std::uint64_t>(
+                                             v->int_value()));
+        sum += static_cast<double>(v->int_value());
+      } else if (v->is_real()) {
+        all_int = false;
+        sum += v->real_value();
+      }
+      return;
+    case AggregateFn::kMin:
+      if (count == 1 || *v < extreme) extreme = *v;
+      return;
+    case AggregateFn::kMax:
+      if (count == 1 || extreme < *v) extreme = *v;
+      return;
   }
+}
 
-  // Group via the canonical sorted order of key tuples (deterministic
-  // output independent of insertion order).
-  std::map<Tuple, std::vector<Accumulator>> groups;
-  for (const Tuple& t : r.tuples()) {
-    const Tuple key = t.Project(key_coords);
-    auto [it, inserted] =
-        groups.try_emplace(key, aggregates.size(), Accumulator());
-    std::vector<Accumulator>& accs = it->second;
-    for (std::size_t i = 0; i < aggregates.size(); ++i) {
-      accs[i].Add(has_input[i] ? &t[input_coords[i]] : nullptr);
-    }
+Value Aggregator::Cell::Finish(AggregateFn fn) const {
+  switch (fn) {
+    case AggregateFn::kCount:
+      return Value::Int(count);
+    case AggregateFn::kSum:
+      return all_int ? Value::Int(isum) : Value::Real(sum);
+    case AggregateFn::kAvg:
+      // Every group holds at least one row, so count > 0.
+      return Value::Real(sum / static_cast<double>(count));
+    case AggregateFn::kMin:
+    case AggregateFn::kMax:
+      return extreme;
   }
+  return Value();
+}
 
-  XRelation result(std::move(schema));
-  result.Reserve(groups.size());
-  for (const auto& [key, accs] : groups) {
-    std::vector<Value> values(key.values());
-    for (std::size_t i = 0; i < aggregates.size(); ++i) {
-      SERENA_ASSIGN_OR_RETURN(Value v, accs[i].Finish(aggregates[i].fn));
-      values.push_back(std::move(v));
+Result<Aggregator> Aggregator::Create(
+    const ExtendedSchemaPtr& input, const std::vector<std::string>& group_by,
+    const std::vector<AggregateSpec>& aggregates) {
+  Aggregator aggregator;
+  SERENA_ASSIGN_OR_RETURN(aggregator.schema_,
+                          AggregateSchema(input, group_by, aggregates));
+  SERENA_ASSIGN_OR_RETURN(aggregator.key_coords_,
+                          input->CoordinatesOf(group_by));
+  for (const AggregateSpec& spec : aggregates) {
+    aggregator.fns_.push_back(spec.fn);
+    aggregator.input_coords_.push_back(
+        spec.input.empty() ? kNoInput : *input->CoordinateOf(spec.input));
+  }
+  return aggregator;
+}
+
+void Aggregator::Add(const Tuple& row) {
+  const std::size_t width = fns_.size();
+  const auto [group, inserted] = groups_.FindOrInsert(
+      row.ProjectedHash(key_coords_), keys_.size(),
+      [this, &row](std::size_t position) {
+        return row.ProjectedEquals(key_coords_, keys_[position]);
+      });
+  if (inserted) {
+    keys_.push_back(row.Project(key_coords_));
+    cells_.resize(cells_.size() + width);
+  }
+  Cell* cells = &cells_[group * width];
+  for (std::size_t i = 0; i < width; ++i) {
+    cells[i].Add(fns_[i],
+                 input_coords_[i] == kNoInput ? nullptr : &row[input_coords_[i]]);
+  }
+}
+
+XRelation Aggregator::Finish() const {
+  std::vector<std::size_t> order(keys_.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return KeyLess(keys_[a], keys_[b]);
+                   });
+  const std::size_t width = fns_.size();
+  XRelation result(schema_);
+  result.Reserve(order.size());
+  for (const std::size_t group : order) {
+    const std::vector<Value>& key = keys_[group].values();
+    std::vector<Value> values;
+    values.reserve(key.size() + width);
+    values.insert(values.end(), key.begin(), key.end());
+    for (std::size_t i = 0; i < width; ++i) {
+      values.push_back(cells_[group * width + i].Finish(fns_[i]));
     }
     result.InsertUnchecked(Tuple(std::move(values)));
   }
   return result;
+}
+
+Result<XRelation> Aggregate(const XRelation& r,
+                            const std::vector<std::string>& group_by,
+                            const std::vector<AggregateSpec>& aggregates) {
+  SERENA_ASSIGN_OR_RETURN(Aggregator aggregator,
+                          Aggregator::Create(r.schema_ptr(), group_by,
+                                             aggregates));
+  for (const Tuple& t : r.tuples()) aggregator.Add(t);
+  return aggregator.Finish();
 }
 
 }  // namespace serena

@@ -1,10 +1,13 @@
 #ifndef SERENA_ALGEBRA_AGGREGATE_H_
 #define SERENA_ALGEBRA_AGGREGATE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "xrel/flat_tuple_index.h"
 #include "xrel/xrelation.h"
 
 namespace serena {
@@ -42,9 +45,66 @@ Result<ExtendedSchemaPtr> AggregateSchema(
     const ExtendedSchemaPtr& schema, const std::vector<std::string>& group_by,
     const std::vector<AggregateSpec>& aggregates);
 
-/// γ_{group_by; aggregates}(r). With an empty `group_by`, produces a
-/// single row aggregating the whole relation (or zero rows for an empty
-/// input, matching SQL's grouped semantics).
+/// The one implementation of γ, shared by both execution cores: a
+/// streaming fold over γ's input rows. The scalar `Aggregate` feeds it a
+/// materialized relation; the vectorized core drains the child pipeline's
+/// batches straight into it, so there γ's input is never materialized.
+///
+/// Groups are found through a `FlatTupleIndex` whose matcher compares the
+/// group-by coordinates of the row in place: one key tuple is built per
+/// group, none per row. Two rows share a group when their keys are equal
+/// as tuples (so `Int(2)` and `Real(2.0)` do, and a NaN key never equals
+/// another). Each group accumulates in input order, which fixes the
+/// rounding of float sums, and `Finish` emits the groups sorted by key.
+///
+/// γ is defined over an X-Relation, so the rows fed to `Add` must be
+/// distinct — a relation's tuples, or a fused pipeline's output sequence.
+class Aggregator {
+ public:
+  /// Resolves γ's output schema (`AggregateSchema`) and its key and input
+  /// coordinates against the input schema.
+  static Result<Aggregator> Create(
+      const ExtendedSchemaPtr& input, const std::vector<std::string>& group_by,
+      const std::vector<AggregateSpec>& aggregates);
+
+  /// Folds one input row.
+  void Add(const Tuple& row);
+
+  /// The aggregated relation: one row per group, ordered by
+  /// `Tuple::operator<` on the keys (NaN, which that order leaves
+  /// unordered, sorts after every number, and NaN-keyed groups keep their
+  /// input order). With no group-by attributes this is one row over all
+  /// input, or none for an empty input (SQL's grouped semantics).
+  XRelation Finish() const;
+
+ private:
+  /// One (group, aggregate) accumulator.
+  struct Cell {
+    std::int64_t count = 0;
+    std::int64_t isum = 0;
+    double sum = 0.0;
+    bool all_int = true;
+    Value extreme;  // The min or max so far.
+
+    void Add(AggregateFn fn, const Value* v);
+    Value Finish(AggregateFn fn) const;
+  };
+
+  /// Input coordinate of an aggregate without one (`count()`).
+  static constexpr std::size_t kNoInput = static_cast<std::size_t>(-1);
+
+  Aggregator() = default;
+
+  ExtendedSchemaPtr schema_;
+  std::vector<std::size_t> key_coords_;
+  std::vector<AggregateFn> fns_;
+  std::vector<std::size_t> input_coords_;
+  std::vector<Tuple> keys_;  // One per group, in first-seen order.
+  std::vector<Cell> cells_;  // Groups × aggregates, row-major.
+  FlatTupleIndex groups_;    // Key -> position in keys_.
+};
+
+/// γ_{group_by; aggregates}(r): `r`'s tuples through an `Aggregator`.
 Result<XRelation> Aggregate(const XRelation& r,
                             const std::vector<std::string>& group_by,
                             const std::vector<AggregateSpec>& aggregates);

@@ -342,9 +342,9 @@ Result<XRelation> NaturalJoin(const XRelation& r1, const XRelation& r2) {
   }
 
   // Hash join on the common real attributes, building on the smaller
-  // side. Each build entry keeps its projected key so hash-bucket
-  // collisions compare against a materialized tuple instead of
-  // re-projecting the build row per probe match.
+  // side. Each build entry keeps its projected key, which a probe row
+  // compares against on its own key coordinates, so neither side
+  // re-projects a row per probe.
   const bool build_r1 = r1.size() < r2.size();
   const XRelation& build = build_r1 ? r1 : r2;
   const XRelation& probe = build_r1 ? r2 : r1;
@@ -366,10 +366,9 @@ Result<XRelation> NaturalJoin(const XRelation& r1, const XRelation& r2) {
   }
   result.Reserve(probe.size());
   for (const Tuple& t : probe.tuples()) {
-    const Tuple k = t.Project(probe_key);
-    const auto [begin, end] = built.equal_range(k.Hash());
+    const auto [begin, end] = built.equal_range(t.ProjectedHash(probe_key));
     for (auto it = begin; it != end; ++it) {
-      if (k == it->second.key) {
+      if (t.ProjectedEquals(probe_key, it->second.key)) {
         // emit() takes (t1, t2) in operand order regardless of which side
         // we built on.
         if (build_r1) {

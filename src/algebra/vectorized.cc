@@ -1,6 +1,7 @@
 #include "algebra/vectorized.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdlib>
 #include <deque>
 #include <memory>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/aggregate.h"
 #include "algebra/plan.h"
 #include "algebra/tuple_batch.h"
 #include "common/string_util.h"
@@ -84,6 +86,7 @@ bool IsFusedRoot(PlanKind kind) {
     case PlanKind::kRename:
     case PlanKind::kAssign:
     case PlanKind::kJoin:
+    case PlanKind::kAggregate:
       return true;
     default:
       return false;
@@ -128,8 +131,9 @@ const VecInstruments& VectorizeInstruments() {
 /// Every cursor emits exactly the tuple sequence the scalar operator
 /// would materialize (docs/VECTORIZATION.md: the per-cursor dedup
 /// invariant — Window and Project deduplicate eagerly; σ/ρ/α/⋈ preserve
-/// distinctness), so interior row counts match the scalar path and the
-/// terminal collect's dedup is belt-and-braces.
+/// distinctness), so interior row counts match the scalar path, the
+/// terminal collect's dedup is belt-and-braces, and γ's terminal fold may
+/// aggregate the rows as the set they are.
 class Cursor {
  public:
   Cursor(const PlanNode* node, ExtendedSchemaPtr schema, bool native)
@@ -212,6 +216,30 @@ Result<XRelation> Collect(Cursor* cursor, EvalContext& ctx) {
   return out;
 }
 
+/// Drains `cursor` into γ's aggregator: the pipeline's terminal when γ is
+/// its root. Rows are folded straight out of the batches, so γ's input is
+/// never copied, hashed into a relation or re-projected. That is sound
+/// only because the cursor emits a distinct sequence (a relation's
+/// tuples, in its order) — debug builds check it.
+Result<XRelation> Fold(Cursor* cursor, Aggregator* aggregator,
+                       EvalContext& ctx) {
+#ifndef NDEBUG
+  XRelation folded(cursor->schema);
+#endif
+  for (;;) {
+    SERENA_ASSIGN_OR_RETURN(const TupleBatch* batch, cursor->Next(ctx));
+    if (batch == nullptr) break;
+    for (std::size_t i = 0; i < batch->size(); ++i) {
+#ifndef NDEBUG
+      const bool distinct = folded.InsertUnchecked(batch->at(i));
+      assert(distinct && "a cursor emitted a duplicate row");
+#endif
+      aggregator->Add(batch->at(i));
+    }
+  }
+  return aggregator->Finish();
+}
+
 /// Source: serves an environment relation in borrowed batches. The
 /// environment is stable for the duration of a query step, so no copy is
 /// made until the pipeline's terminal collect.
@@ -284,9 +312,10 @@ class WindowCursor final : public Cursor {
   std::size_t pos_ = 0;
 };
 
-/// Any non-fusable stage (set ops, β, γ, S, …): evaluated once through
-/// the normal `Evaluate` wrapper — which records its stats and may itself
-/// vectorize subtrees below it — then served in borrowed batches.
+/// Any non-fusable stage (set ops, β, S, a γ below the root, …):
+/// evaluated once through the normal `Evaluate` wrapper — which records
+/// its stats and may itself vectorize subtrees below it — then served in
+/// borrowed batches.
 class OpaqueCursor final : public Cursor {
  public:
   OpaqueCursor(const PlanNode* node, ExtendedSchemaPtr schema,
@@ -599,10 +628,10 @@ class JoinCursor final : public Cursor {
       // Finish every match of one probe row before checking the size cap,
       // so resuming only needs the probe index (batches may overshoot).
       const Tuple& t = tuples[probe_idx_++];
-      const Tuple k = t.Project(*probe_key_);
-      const auto [begin, end] = built_.equal_range(k.Hash());
+      const auto [begin, end] =
+          built_.equal_range(t.ProjectedHash(*probe_key_));
       for (auto it = begin; it != end; ++it) {
-        if (k == it->second.key) {
+        if (t.ProjectedEquals(*probe_key_, it->second.key)) {
           out_->AppendOwned(build_r1_ ? spec_.Merge(*it->second.tuple, t)
                                       : spec_.Merge(t, *it->second.tuple));
         }
@@ -640,7 +669,11 @@ class JoinCursor final : public Cursor {
 
 struct Pipeline {
   std::vector<std::unique_ptr<Cursor>> cursors;
+  /// The cursor the terminal drains: the root node's own cursor, or γ's
+  /// child when γ folds the pipeline.
   Cursor* root = nullptr;
+  /// The γ whose fold is the terminal, or null for the collect.
+  const AggregateNode* fold = nullptr;
   BatchPool* pool = nullptr;
   std::size_t batch_size = 0;
 };
@@ -827,14 +860,14 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
 /// scalar path: each started native stage counts one eval, its emitted
 /// rows, and the pipeline's (inclusive) wall time. The root's
 /// eval/rows/wall/error are recorded by its `Evaluate` wrapper — only its
-/// batch count comes from here. Stages never started (the right join side
-/// after a left failure) stay unrecorded, exactly like unevaluated scalar
-/// operands.
+/// batch count comes from here (a folding γ has no cursor and emits no
+/// batches). Stages never started (the right join side after a left
+/// failure) stay unrecorded, exactly like unevaluated scalar operands.
 void FlushStats(const Pipeline& pipeline, const PlanNode& root_node,
                 PlanStatsCollector& collector, std::uint64_t elapsed_ns) {
   for (const auto& cursor : pipeline.cursors) {
     if (!cursor->native || !cursor->started) continue;
-    if (cursor.get() == pipeline.root) {
+    if (cursor->node == &root_node) {
       collector.StatsFor(&root_node).batches += cursor->batches_out;
       continue;
     }
@@ -849,7 +882,7 @@ void FlushStats(const Pipeline& pipeline, const PlanNode& root_node,
 
 /// Adds one run of `pipeline` to the `serena.vectorize.*` counters.
 void CountPipeline(const Pipeline& pipeline) {
-  std::uint64_t fused = 0;
+  std::uint64_t fused = pipeline.fold != nullptr ? 1 : 0;
   for (const auto& cursor : pipeline.cursors) {
     if (cursor->native) ++fused;
   }
@@ -860,15 +893,19 @@ void CountPipeline(const Pipeline& pipeline) {
   instruments.rows->Increment(pipeline.root->rows_out);
 }
 
-/// The fused stages of `pipeline`, leaves first (e.g. "window,select") —
-/// the detail of its `vec.pipeline` span.
+/// The fused stages of `pipeline`, leaves first (e.g. "window,select",
+/// or "window,select,aggregate" under a folding γ) — the detail of its
+/// `vec.pipeline` span.
 std::string FusedStages(const Pipeline& pipeline) {
   std::string stages;
-  for (const auto& cursor : pipeline.cursors) {
-    if (!cursor->native) continue;
+  const auto append = [&stages](const PlanNode& node) {
     if (!stages.empty()) stages.push_back(',');
-    stages += PlanKindToString(cursor->node->kind());
+    stages += PlanKindToString(node.kind());
+  };
+  for (const auto& cursor : pipeline.cursors) {
+    if (cursor->native) append(*cursor->node);
   }
+  if (pipeline.fold != nullptr) append(*pipeline.fold);
   return stages;
 }
 
@@ -889,7 +926,23 @@ std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
   Pipeline pipeline;
   pipeline.pool = pool;
   pipeline.batch_size = BatchSize();
-  pipeline.root = BuildCursor(node, ctx, &pipeline);
+  // γ is no cursor: it folds its child's pipeline into an Aggregator.
+  const auto* fold = node.kind() == PlanKind::kAggregate
+                         ? &static_cast<const AggregateNode&>(node)
+                         : nullptr;
+  pipeline.fold = fold;
+  pipeline.root =
+      BuildCursor(fold != nullptr ? *fold->child() : node, ctx, &pipeline);
+  std::optional<Aggregator> aggregator;
+  if (fold != nullptr && pipeline.root != nullptr) {
+    Result<Aggregator> created = Aggregator::Create(
+        pipeline.root->schema, fold->group_by(), fold->aggregates());
+    if (created.ok()) {
+      aggregator = std::move(*created);
+    } else {
+      pipeline.root = nullptr;
+    }
+  }
   if (pipeline.root == nullptr) {
     pool->ReleaseToMark(mark);
     return std::nullopt;
@@ -905,7 +958,9 @@ std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
   const std::uint64_t start_ns =
       ctx.stats != nullptr ? obs::MonotonicNowNs() : 0;
 
-  Result<XRelation> result = Collect(pipeline.root, ctx);
+  Result<XRelation> result = aggregator.has_value()
+                                 ? Fold(pipeline.root, &*aggregator, ctx)
+                                 : Collect(pipeline.root, ctx);
 
   if (ctx.stats != nullptr) {
     FlushStats(pipeline, node, *ctx.stats, obs::MonotonicNowNs() - start_ns);

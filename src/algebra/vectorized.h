@@ -19,7 +19,7 @@ enum class PlanKind;
 /// of materializing one `XRelation` per operator, a pipeline of cursors
 /// pushes `TupleBatch`es (SERENA_BATCH_SIZE rows, default 1024) through
 /// fused σ/π/ρ/α/⋈ stages and materializes only the pipeline's final
-/// output. Results are byte-identical to the scalar path, which stays
+/// output — or, under a γ root, folds it into γ's groups unmaterialized. Results are byte-identical to the scalar path, which stays
 /// available behind `SERENA_VECTORIZE=off` as the differential-testing
 /// oracle.
 namespace vec {
@@ -39,10 +39,11 @@ std::size_t BatchSize();
 void SetEnabledForTesting(std::optional<bool> enabled);
 void SetBatchSizeForTesting(std::optional<std::size_t> batch_size);
 
-/// True for operator kinds that start a fused pipeline (σ, π, ρ, α, ⋈).
-/// Leaves (scan, window) are batch *sources* inside a pipeline but gain
-/// nothing as pipeline roots; everything else stays scalar and is
-/// consumed through an opaque cursor.
+/// True for operator kinds that start a fused pipeline (σ, π, ρ, α, ⋈,
+/// and γ, which folds its child's pipeline). Leaves (scan, window) are
+/// batch *sources* inside a pipeline but gain nothing as pipeline roots;
+/// everything else — and γ below a root — stays scalar and is consumed
+/// through an opaque cursor.
 bool IsFusedRoot(PlanKind kind);
 
 /// Attempts batch execution of the pipeline rooted at `node`. Returns

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <vector>
@@ -34,7 +36,15 @@ void AppendValueJson(JsonWriter* json, const Value& value) {
     // doubles, which would corrupt magnitudes beyond 2^53.
     json->Key("i").Value(std::to_string(value.int_value()));
   } else if (value.is_real()) {
-    json->Key("r").Value(value.real_value());
+    // JSON has no non-finite numbers: NaN and ±inf travel as strings.
+    const double real = value.real_value();
+    if (std::isnan(real)) {
+      json->Key("r").Value("nan");
+    } else if (std::isinf(real)) {
+      json->Key("r").Value(real > 0 ? "inf" : "-inf");
+    } else {
+      json->Key("r").Value(real);
+    }
   } else if (value.is_string()) {
     json->Key("s").Value(value.string_value());
   } else {
@@ -67,10 +77,22 @@ Result<Value> ValueFromJson(const JsonValue& doc) {
     }
     return Value::Int(static_cast<std::int64_t>(parsed));
   }
-  if (tag == "r" && (payload.is_number() || payload.is_null())) {
-    // JsonWriter renders non-finite doubles as null; NaN never
-    // round-trips equal anyway, so 0.0 keeps the tuple well-formed.
-    return Value::Real(payload.is_number() ? payload.number() : 0.0);
+  if (tag == "r" && payload.is_number()) {
+    return Value::Real(payload.number());
+  }
+  if (tag == "r" && payload.is_string()) {
+    const std::string& text = payload.string();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    if (text == "nan") return Value::Real(std::nan(""));
+    if (text == "inf") return Value::Real(kInf);
+    if (text == "-inf") return Value::Real(-kInf);
+    return Status::InvalidArgument("journal real literal '", text,
+                                   "' is malformed");
+  }
+  if (tag == "r" && payload.is_null()) {
+    // Journals written before non-finite reals were spelled out stored
+    // them as null; they replay as 0.0, as they always did.
+    return Value::Real(0.0);
   }
   if (tag == "s" && payload.is_string()) {
     return Value::String(payload.string());

@@ -6,6 +6,12 @@
 
 namespace serena {
 
+namespace {
+
+constexpr std::uint64_t kHashSeed = 0x5e7e9a5e7e9a5e7eULL;
+
+}  // namespace
+
 Tuple Tuple::Project(const std::vector<std::size_t>& indices) const {
   std::vector<Value> projected;
   projected.reserve(indices.size());
@@ -51,11 +57,29 @@ bool Tuple::operator<(const Tuple& other) const {
 }
 
 std::uint64_t Tuple::Hash() const {
-  std::uint64_t h = 0x5e7e9a5e7e9a5e7eULL;
+  std::uint64_t h = kHashSeed;
   for (const Value& v : values_) {
     h = HashCombine(h, v.Hash());
   }
   return h;
+}
+
+std::uint64_t Tuple::ProjectedHash(
+    const std::vector<std::size_t>& indices) const {
+  std::uint64_t h = kHashSeed;
+  for (std::size_t i : indices) {
+    h = HashCombine(h, values_[i].Hash());
+  }
+  return h;
+}
+
+bool Tuple::ProjectedEquals(const std::vector<std::size_t>& indices,
+                            const Tuple& key) const {
+  if (indices.size() != key.size()) return false;
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    if (values_[indices[i]] != key.values_[i]) return false;
+  }
+  return true;
 }
 
 std::ostream& operator<<(std::ostream& os, const Tuple& tuple) {

@@ -51,6 +51,13 @@ class Tuple {
   /// Stable hash consistent with operator==.
   std::uint64_t Hash() const;
 
+  /// `Project(indices).Hash()` and `Project(indices) == key`, computed on
+  /// the coordinates in place: hash-keyed operators (⋈ probes, γ groups)
+  /// look a row up by its key without building a key tuple per row.
+  std::uint64_t ProjectedHash(const std::vector<std::size_t>& indices) const;
+  bool ProjectedEquals(const std::vector<std::size_t>& indices,
+                       const Tuple& key) const;
+
  private:
   std::vector<Value> values_;
 };

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -47,7 +48,7 @@ class FlatTupleIndex {
   std::size_t Find(const Tuple& tuple, std::uint64_t hash,
                    const TupleAt& tuple_at) const {
     if (slots_.empty()) return kNotFound;
-    const Slot& slot = slots_[Probe(tuple, hash, tuple_at)];
+    const Slot& slot = slots_[Probe(hash, Equals(tuple, tuple_at))];
     return slot.position == kEmpty ? kNotFound : slot.position;
   }
 
@@ -56,13 +57,25 @@ class FlatTupleIndex {
   template <typename TupleAt>
   bool Insert(const Tuple& tuple, std::uint64_t hash, std::size_t position,
               const TupleAt& tuple_at) {
+    return FindOrInsert(hash, position, Equals(tuple, tuple_at)).second;
+  }
+
+  /// Like `Insert`, for a key the caller compares in place instead of
+  /// materializing it (γ's group keys): `matches(p)` says whether the
+  /// entry at position `p` holds the key whose hash is `hash`. Returns
+  /// {the matching entry's position, false}, or {`position`, true} when
+  /// none matched and `position` was indexed for the key.
+  template <typename Matches>
+  std::pair<std::size_t, bool> FindOrInsert(std::uint64_t hash,
+                                            std::size_t position,
+                                            const Matches& matches) {
     SERENA_CHECK(position < kEmpty);
     if ((size_ + 1) * 2 > slots_.size()) Grow(size_ + 1);
-    Slot& slot = slots_[Probe(tuple, hash, tuple_at)];
-    if (slot.position != kEmpty) return false;
+    Slot& slot = slots_[Probe(hash, matches)];
+    if (slot.position != kEmpty) return {slot.position, false};
     slot = Slot{Tag(hash), static_cast<std::uint32_t>(position)};
     ++size_;
-    return true;
+    return {position, true};
   }
 
   /// Removes the entry for the tuple equal to `tuple` and returns its
@@ -71,7 +84,7 @@ class FlatTupleIndex {
   std::size_t Erase(const Tuple& tuple, std::uint64_t hash,
                     const TupleAt& tuple_at) {
     if (slots_.empty()) return kNotFound;
-    const std::size_t slot = Probe(tuple, hash, tuple_at);
+    const std::size_t slot = Probe(hash, Equals(tuple, tuple_at));
     const std::size_t position = slots_[slot].position;
     if (position == kEmpty) return kNotFound;
     RemoveSlot(slot);
@@ -94,19 +107,24 @@ class FlatTupleIndex {
     return static_cast<std::uint32_t>(hash ^ (hash >> 32));
   }
 
-  /// The slot holding the tuple equal to `tuple`, or else the empty slot
-  /// ending its probe run (where it would be inserted). Needs a non-empty
-  /// table.
+  /// The matcher for a stored tuple equal to `tuple`.
   template <typename TupleAt>
-  std::size_t Probe(const Tuple& tuple, std::uint64_t hash,
-                    const TupleAt& tuple_at) const {
+  static auto Equals(const Tuple& tuple, const TupleAt& tuple_at) {
+    return [&tuple, &tuple_at](std::size_t position) {
+      return tuple_at(position) == tuple;
+    };
+  }
+
+  /// The slot of the entry tagged like `hash` that `matches`, or else the
+  /// empty slot ending its probe run (where it would be inserted). Needs a
+  /// non-empty table.
+  template <typename Matches>
+  std::size_t Probe(std::uint64_t hash, const Matches& matches) const {
     const std::uint32_t tag = Tag(hash);
     const std::size_t mask = slots_.size() - 1;
     std::size_t slot = tag & mask;
     for (; slots_[slot].position != kEmpty; slot = (slot + 1) & mask) {
-      if (slots_[slot].tag == tag && tuple_at(slots_[slot].position) == tuple) {
-        break;
-      }
+      if (slots_[slot].tag == tag && matches(slots_[slot].position)) break;
     }
     return slot;
   }

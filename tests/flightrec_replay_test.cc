@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -114,6 +116,57 @@ TEST(FlightrecReplayTest, EveryExecutionModeReplaysByteIdentically) {
       EXPECT_EQ(report->segments_replayed, 2u);
       ExpectIdentical(*report);
     }
+  }
+}
+
+TEST(FlightrecReplayTest, NonFiniteRealsReplayByteIdentically) {
+  const std::string dir = TempDir("nonfinite");
+  {
+    auto pems = Pems::Create().MoveValueOrDie();
+    ASSERT_TRUE(pems->tables()
+                    .ExecuteDdl("EXTENDED STREAM readings (sensor STRING, "
+                                "value REAL);")
+                    .ok());
+    pems->queries().executor().AddSource(
+        [&pems](Timestamp t) -> Status {
+          SERENA_ASSIGN_OR_RETURN(XDRelation * xd,
+                                  pems->streams().GetStream("readings"));
+          const double inf = std::numeric_limits<double>::infinity();
+          const double values[] = {inf, -inf, std::nan(""), 1.5};
+          for (std::int64_t k = 0; k < 4; ++k) {
+            SERENA_RETURN_NOT_OK(xd->Append(
+                t, Tuple(std::vector<Value>{
+                       Value::String("s" + std::to_string(k)),
+                       Value::Real(values[(t + k) % 4])})));
+          }
+          return Status::OK();
+        },
+        {"readings"});
+    FlightRecorder::Options options;
+    options.journal.dir = dir;
+    ASSERT_TRUE(pems->AttachFlightRecorder(options).ok());
+    // Replaying NaN or +inf as any finite value below 2.0 changes which
+    // rows pass; the window's rows carry every non-finite value out.
+    ASSERT_TRUE(pems->queries()
+                    .RegisterContinuous(
+                        "low", "select[value < 2.0](window[2](readings))")
+                    .ok());
+    ASSERT_TRUE(
+        pems->queries().RegisterContinuous("all", "window[1](readings)").ok());
+    pems->Run(4);
+  }
+
+  auto journal = LoadJournal(dir);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_EQ(journal->tick_count(), 4u);
+  for (const bool vectorize : {false, true}) {
+    SCOPED_TRACE("vectorize=" + std::to_string(vectorize));
+    ReplayOptions options;
+    options.vectorize = vectorize;
+    auto report = ReplayJournal(*journal, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->ticks_compared, 4u);
+    ExpectIdentical(*report);
   }
 }
 

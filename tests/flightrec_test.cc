@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -43,6 +44,24 @@ TEST(FlightrecCodecTest, TupleRoundTripsEveryValueType) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   // Byte-identical re-encoding is the replay comparison contract.
   EXPECT_EQ(TupleToJson(back.ValueOrDie()), json);
+}
+
+TEST(FlightrecCodecTest, NonFiniteRealsRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Tuple tuple(std::vector<Value>{Value::Real(inf), Value::Real(-inf),
+                                       Value::Real(std::nan(""))});
+  const std::string json = TupleToJson(tuple);
+  auto back = TupleFromJson(json);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(TupleToJson(back.ValueOrDie()), json);
+  EXPECT_EQ(back->at(0), Value::Real(inf));
+  EXPECT_EQ(back->at(1), Value::Real(-inf));
+  EXPECT_TRUE(back->at(2).is_real() && std::isnan(back->at(2).real_value()));
+  // Journals that stored non-finite reals as null still load, as 0.0.
+  auto legacy = TupleFromJson("[{\"r\": null}]");
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy->at(0), Value::Real(0.0));
+  EXPECT_FALSE(TupleFromJson("[{\"r\": \"infinity\"}]").ok());
 }
 
 TEST(FlightrecCodecTest, TupleFromJsonRejectsGarbage) {

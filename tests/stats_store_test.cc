@@ -351,6 +351,15 @@ TEST_P(OperatorViewsTest, OpCountersEqualStatsStoreSumsPerKind) {
 
   SharedSubtreeQuery q;
   ASSERT_TRUE(q.executor.Register(q.query).ok());
+  // A γ-rooted query: in the vectorized core γ folds its σ(window)
+  // pipeline, whose stages reach the store through the pipeline flush.
+  ASSERT_TRUE(q.executor
+                  .Register(std::make_shared<ContinuousQuery>(
+                      "grouped",
+                      MustParse("aggregate[sensor; count() -> n, avg(value) "
+                                "-> mean](select[value > 1](window[2]("
+                                "readings)))")))
+                  .ok());
   q.executor.Run(5);
   ASSERT_TRUE(q.executor.last_errors().empty());
 
@@ -361,6 +370,8 @@ TEST_P(OperatorViewsTest, OpCountersEqualStatsStoreSumsPerKind) {
     by_kind[op.kind].wall_ns += op.wall_ns;
   }
   ASSERT_GT(by_kind["window"].rows_out, 0u);
+  ASSERT_EQ(by_kind["aggregate"].evals, 5u);
+  ASSERT_GT(by_kind["aggregate"].rows_out, 0u);
   for (int k = 0; k < kKinds; ++k) {
     const std::string kind = PlanKindToString(static_cast<PlanKind>(k));
     EXPECT_EQ(counter(k, "evals").value() - evals_before[k],

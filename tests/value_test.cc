@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "types/tuple.h"
 
 namespace serena {
@@ -112,6 +114,25 @@ TEST(TupleTest, HashConsistency) {
   EXPECT_EQ(a.Hash(), b.Hash());
   Tuple c{Value::String("x"), Value::Int(2)};  // Order matters.
   EXPECT_NE(a, c);
+}
+
+TEST(TupleTest, ProjectedKeyHashesAndComparesInPlace) {
+  const Tuple t{Value::Int(2), Value::String("x"), Value::Real(-0.0),
+                Value::Bool(true)};
+  for (const std::vector<std::size_t>& coords :
+       std::vector<std::vector<std::size_t>>{
+           {}, {0}, {1, 0}, {2}, {3, 1, 2, 0}, {1, 1}}) {
+    const Tuple key = t.Project(coords);
+    EXPECT_EQ(t.ProjectedHash(coords), key.Hash());
+    EXPECT_TRUE(t.ProjectedEquals(coords, key));
+  }
+  // Equality is the tuples': numerically equal keys match, others don't.
+  EXPECT_TRUE(t.ProjectedEquals({0, 2}, Tuple{Value::Real(2.0),
+                                              Value::Int(0)}));
+  EXPECT_FALSE(t.ProjectedEquals({0}, Tuple{Value::Int(3)}));
+  EXPECT_FALSE(t.ProjectedEquals({0}, Tuple{Value::Int(2), Value::Int(0)}));
+  const Tuple nan{Value::Real(std::nan(""))};
+  EXPECT_FALSE(nan.ProjectedEquals({0}, nan));
 }
 
 TEST(DataTypeTest, Roundtrip) {

@@ -9,14 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "algebra/explain.h"
 #include "analysis/lint_runner.h"
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -125,8 +129,10 @@ std::string ReplaySignature(const std::string& script) {
   std::ostringstream sig;
   // Sink captures accumulate per query: the executor may step queries of
   // one tick in any order (parallel scheduling), so interleaving is not
-  // part of the signature — per-query content and instants are.
+  // part of the signature — per-query content and instants are. Sinks of
+  // one level run on pool threads at once, hence the mutex.
   std::map<std::string, std::string> captures;
+  std::mutex captures_mu;
   auto pems = Pems::Create().MoveValueOrDie();
   EXPECT_TRUE(
       obs::RegisterMetaRelations(&pems->env(), &pems->queries().executor())
@@ -184,9 +190,12 @@ std::string ReplaySignature(const std::string& script) {
         if (query.ok()) {
           const std::string tag = query_name;
           (*query)->set_sink(
-              [&captures, tag](Timestamp t, const XRelation& r) {
-                captures[tag] += "tick " + std::to_string(t) + ":\n" +
-                                 r.ToTableString();
+              [&captures, &captures_mu, tag](Timestamp t,
+                                             const XRelation& r) {
+                const std::string capture = "tick " + std::to_string(t) +
+                                            ":\n" + r.ToTableString();
+                std::lock_guard<std::mutex> lock(captures_mu);
+                captures[tag] += capture;
               });
         }
       }
@@ -374,6 +383,142 @@ TEST_F(OperatorDifferentialTest, ErrorPathsMatchScalarDiagnostics) {
                       Formula::Compare(Operand::Attr("location"),
                                        CompareOp::kGt,
                                        Operand::Const(Value::Int(42)))));
+}
+
+/// The per-node `actual rows` of EXPLAIN ANALYZE, one "node rows=N" line
+/// per plan node: wall times and batch counts differ between the modes by
+/// design, row counts may not.
+std::string AnalyzedRows(const PlanPtr& plan, Environment* env,
+                         StreamStore* streams, bool enabled,
+                         Timestamp instant) {
+  VecModeGuard guard(enabled);
+  ExplainAnalyzeOptions options;
+  options.instant = instant;
+  std::istringstream rendered(
+      ExplainAnalyzePlan(plan, env, streams, options));
+  std::string rows;
+  for (std::string line; std::getline(rendered, line);) {
+    const std::size_t marker = line.find(" -- ");
+    if (marker == std::string::npos) continue;
+    const std::size_t count = line.find("rows=", marker);
+    rows += line.substr(0, marker) + " " +
+            (count == std::string::npos
+                 ? std::string("never executed")
+                 : line.substr(count, line.find(' ', count) - count)) +
+            "\n";
+  }
+  return rows;
+}
+
+TEST_F(OperatorDifferentialTest, AggregateShapes) {
+  // Keys that stress γ's grouping: Int(2) and Real(2.0) are one group
+  // (keyed by the first), every NaN key is a group of its own, and the
+  // string column feeds min/max.
+  auto schema = ExtendedSchema::Create("mixed", {{"k", DataType::kReal},
+                                                 {"tag", DataType::kString},
+                                                 {"v", DataType::kInt},
+                                                 {"w", DataType::kReal}})
+                    .ValueOrDie();
+  XRelation mixed(schema);
+  const double nan = std::nan("");
+  const std::vector<Tuple> rows = {
+      {Value::Int(2), Value::String("b"), Value::Int(1), Value::Real(0.1)},
+      {Value::Real(7.5), Value::String("a"), Value::Int(2), Value::Real(0.2)},
+      {Value::Real(nan), Value::String("c"), Value::Int(3), Value::Real(0.3)},
+      {Value::Real(2.0), Value::String("a"), Value::Int(4), Value::Real(0.4)},
+      {Value::Real(nan), Value::String("d"), Value::Int(5), Value::Real(0.5)},
+      {Value::Real(-1.0), Value::String("e"), Value::Int(6), Value::Real(0.6)},
+      {Value::Real(7.5), Value::String("f"), Value::Int(7), Value::Real(0.7)}};
+  for (const Tuple& row : rows) ASSERT_TRUE(mixed.Insert(row).ok());
+  ASSERT_TRUE(scenario_->env().PutRelation(std::move(mixed)).ok());
+
+  PlanPtr window = Window("temperatures", 3);
+  const auto warm = Formula::Compare(Operand::Attr("temperature"),
+                                     CompareOp::kGt,
+                                     Operand::Const(Value::Real(-100.0)));
+  const auto never = Formula::Compare(Operand::Attr("temperature"),
+                                      CompareOp::kGt,
+                                      Operand::Const(Value::Real(1e9)));
+  const std::vector<AggregateSpec> stats = {
+      {AggregateFn::kAvg, "temperature", "mean"},
+      {AggregateFn::kCount, "", "n"},
+      {AggregateFn::kMin, "temperature", "lo"},
+      {AggregateFn::kMax, "temperature", "hi"}};
+  const std::vector<PlanPtr> plans = {
+      // γ over σ(window).
+      Aggregate(Select(window, warm), {"location"}, stats),
+      // γ over ⋈, with string min/max.
+      Aggregate(Join(window, Scan("surveillance")), {"name"},
+                {{AggregateFn::kCount, "", "n"},
+                 {AggregateFn::kMin, "location", "first"},
+                 {AggregateFn::kMax, "location", "last"},
+                 {AggregateFn::kSum, "temperature", "total"}}),
+      // γ over π: the projection deduplicates before the fold counts.
+      Aggregate(Project(window, {"location"}), {},
+                {{AggregateFn::kCount, "", "n"}}),
+      Aggregate(Project(window, {"location"}), {"location"},
+                {{AggregateFn::kCount, "location", "n"}}),
+      // γ over an opaque β.
+      Aggregate(Invoke(Scan("sensors"), "getTemperature"), {"location"},
+                stats),
+      // Empty input, grouped and ungrouped.
+      Aggregate(Select(window, never), {"location"}, stats),
+      Aggregate(Select(window, never), {}, {{AggregateFn::kCount, "", "n"}}),
+      // Empty group-by over the whole window.
+      Aggregate(window, {}, stats),
+      // Mixed Int/Real and NaN keys, scanned and filtered.
+      Aggregate(Scan("mixed"), {"k"},
+                {{AggregateFn::kCount, "", "n"},
+                 {AggregateFn::kSum, "v", "s"},
+                 {AggregateFn::kAvg, "w", "m"},
+                 {AggregateFn::kMin, "tag", "first"},
+                 {AggregateFn::kMax, "tag", "last"}}),
+      Aggregate(Select(Scan("mixed"),
+                       Formula::Compare(Operand::Attr("v"), CompareOp::kGt,
+                                        Operand::Const(Value::Int(1)))),
+                {"k", "tag"}, {{AggregateFn::kSum, "w", "s"}}),
+      // γ below a fused root stays opaque inside that pipeline.
+      Select(Aggregate(window, {"location"}, stats),
+             Formula::Compare(Operand::Attr("n"), CompareOp::kGt,
+                              Operand::Const(Value::Int(0)))),
+  };
+
+  Environment* env = &scenario_->env();
+  StreamStore* streams = &scenario_->streams();
+  for (const std::optional<std::size_t> batch_size :
+       {std::optional<std::size_t>(1), std::optional<std::size_t>(3),
+        std::optional<std::size_t>()}) {
+    vec::SetBatchSizeForTesting(batch_size);
+    for (const PlanPtr& plan : plans) {
+      SCOPED_TRACE("batch_size=" +
+                   (batch_size ? std::to_string(*batch_size) : "default") +
+                   " plan " + plan->ToString());
+      ExpectParity(plan);
+      EXPECT_EQ(AnalyzedRows(plan, env, streams, false, 4),
+                AnalyzedRows(plan, env, streams, true, 4));
+    }
+  }
+  vec::SetBatchSizeForTesting(std::nullopt);
+
+  // The mixed keys group as documented: Int(2)/Real(2.0) once (keyed by
+  // the first), each NaN apart and last, groups in key order.
+  VecModeGuard guard(true);
+  auto grouped = Execute(plans[8], env, streams, 4);
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  const std::vector<Tuple>& out = grouped->relation.tuples();
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[0][0], Value::Real(-1.0));
+  EXPECT_TRUE(out[1][0].is_int());
+  EXPECT_EQ(out[1][1], Value::Int(2));  // n
+  EXPECT_EQ(out[1][2], Value::Int(5));  // s = 1 + 4
+  EXPECT_EQ(out[1][3], Value::Real((0.1 + 0.4) / 2));
+  EXPECT_EQ(out[1][4], Value::String("a"));
+  EXPECT_EQ(out[1][5], Value::String("b"));
+  EXPECT_EQ(out[2][0], Value::Real(7.5));
+  EXPECT_TRUE(std::isnan(out[3][0].real_value()));
+  EXPECT_EQ(out[3][4], Value::String("c"));
+  EXPECT_TRUE(std::isnan(out[4][0].real_value()));
+  EXPECT_EQ(out[4][4], Value::String("d"));
 }
 
 // ---------------------------------------------------------------------------

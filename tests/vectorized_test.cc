@@ -12,6 +12,7 @@
 #include <optional>
 #include <sstream>
 
+#include "algebra/aggregate.h"
 #include "algebra/explain.h"
 #include "algebra/formula.h"
 #include "algebra/plan.h"
@@ -46,10 +47,13 @@ TEST(VectorizedConfigTest, FusedRootsAreTheFusableOperators) {
   EXPECT_TRUE(vec::IsFusedRoot(PlanKind::kRename));
   EXPECT_TRUE(vec::IsFusedRoot(PlanKind::kAssign));
   EXPECT_TRUE(vec::IsFusedRoot(PlanKind::kJoin));
+  // γ folds its child's pipeline instead of collecting it.
+  EXPECT_TRUE(vec::IsFusedRoot(PlanKind::kAggregate));
   // Leaves are batch sources, not roots; everything else stays scalar.
   EXPECT_FALSE(vec::IsFusedRoot(PlanKind::kScan));
   EXPECT_FALSE(vec::IsFusedRoot(PlanKind::kWindow));
-  EXPECT_FALSE(vec::IsFusedRoot(PlanKind::kAggregate));
+  EXPECT_FALSE(vec::IsFusedRoot(PlanKind::kInvoke));
+  EXPECT_FALSE(vec::IsFusedRoot(PlanKind::kUnion));
 }
 
 TEST(TupleBatchTest, PoolReusesBatchesAcrossMarks) {
@@ -254,6 +258,50 @@ TEST_F(VectorizedPipelineTest, TracingKeepsTheVectorizedPath) {
       });
   ASSERT_NE(pipeline, spans.end());
   EXPECT_EQ(pipeline->detail, "window,select");
+
+  trace.Clear();
+  metrics.set_enabled(was_enabled);
+}
+
+TEST_F(VectorizedPipelineTest, AggregateFoldsItsChildPipeline) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const bool was_enabled = metrics.enabled();
+  metrics.set_enabled(true);
+  VecModeGuard guard(true);
+
+  PlanPtr plan = Aggregate(
+      Select(Window("temperatures", 3),
+             Formula::Compare(Operand::Attr("temperature"), CompareOp::kGt,
+                              Operand::Const(Value::Real(-1e9)))),
+      {"location"}, {{AggregateFn::kAvg, "temperature", "mean"}});
+  obs::TraceBuffer& trace = obs::TraceBuffer::Global();
+  trace.Clear();
+  trace.set_enabled(true);
+  const std::uint64_t fused_before =
+      metrics.GetCounter("serena.vectorize.fused_ops").value();
+  auto result = Execute(plan, &scenario_->env(), &scenario_->streams(), 3);
+  trace.set_enabled(false);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->relation.empty());
+  // window, σ and γ ran as one pipeline.
+  EXPECT_EQ(metrics.GetCounter("serena.vectorize.fused_ops").value(),
+            fused_before + 3);
+
+  // γ keeps its operator span; σ has none (it ran fused), and the
+  // pipeline's detail ends in the fold.
+  const std::vector<obs::SpanRecord> spans = trace.Snapshot();
+  const auto named = [&spans](const std::string& name) {
+    return std::find_if(
+        spans.begin(), spans.end(),
+        [&name](const obs::SpanRecord& span) { return span.name == name; });
+  };
+  const auto aggregate = named("op.aggregate");
+  ASSERT_NE(aggregate, spans.end());
+  EXPECT_EQ(named("op.select"), spans.end());
+  const auto pipeline = named("vec.pipeline");
+  ASSERT_NE(pipeline, spans.end());
+  EXPECT_EQ(pipeline->parent_id, aggregate->span_id);
+  EXPECT_EQ(pipeline->detail, "window,select,aggregate");
 
   trace.Clear();
   metrics.set_enabled(was_enabled);

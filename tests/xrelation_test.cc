@@ -383,5 +383,28 @@ TEST(FlatTupleIndexTest, EqualHashesCompareContents) {
   EXPECT_EQ(index.Find(Tuple{Value::Int(2)}, 7, at), 1u);
 }
 
+TEST(FlatTupleIndexTest, FindOrInsertMatchesKeysInPlace) {
+  // Keys live only as the first coordinate of the rows that introduced
+  // them; the matcher compares a probe row's coordinate in place.
+  const std::vector<std::size_t> key = {0};
+  std::vector<Tuple> groups;
+  FlatTupleIndex index;
+  const auto group_of = [&](const Tuple& row) {
+    const auto [position, inserted] = index.FindOrInsert(
+        row.ProjectedHash(key), groups.size(), [&](std::size_t p) {
+          return row.ProjectedEquals(key, groups[p]);
+        });
+    if (inserted) groups.push_back(row.Project(key));
+    return position;
+  };
+  EXPECT_EQ(group_of(Tuple{Value::String("a"), Value::Int(1)}), 0u);
+  EXPECT_EQ(group_of(Tuple{Value::String("b"), Value::Int(1)}), 1u);
+  EXPECT_EQ(group_of(Tuple{Value::String("a"), Value::Int(2)}), 0u);
+  EXPECT_EQ(group_of(Tuple{Value::Int(2), Value::Int(0)}), 2u);
+  EXPECT_EQ(group_of(Tuple{Value::Real(2.0), Value::Int(0)}), 2u);
+  EXPECT_EQ(index.size(), 3u);
+  EXPECT_EQ(groups.size(), 3u);
+}
+
 }  // namespace
 }  // namespace serena
