@@ -4,20 +4,18 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace serena {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : max_threads_(num_threads) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   tasks_counter_ = &metrics.GetCounter("serena.pool.tasks");
   queue_depth_gauge_ = &metrics.GetGauge("serena.pool.queue_depth");
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
 }
 
 ThreadPool::~ThreadPool() {
@@ -26,7 +24,13 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   cv_.notify_all();
+  // No worker starts once `stop_` is set, so `workers_` is final here.
   for (std::thread& worker : workers_) worker.join();
+}
+
+std::size_t ThreadPool::started_threads() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return workers_.size();
 }
 
 void ThreadPool::WorkerLoop() {
@@ -34,7 +38,9 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      ++idle_;
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      --idle_;
       // Drain the queue even when stopping, so joining never abandons an
       // accepted task.
       if (queue_.empty()) return;
@@ -69,6 +75,22 @@ void ThreadPool::Execute(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mu_);
     if (!stop_ && queue_.size() < kMaxQueuedTasks) {
       queue_.push_back(std::move(task));
+      // Every idle worker will take one queued task; start another for
+      // the rest. A pool that cannot start a thread keeps the task queued
+      // for the workers it has, or runs it here when it has none.
+      if (queue_.size() > idle_ && workers_.size() < max_threads_) {
+        try {
+          workers_.emplace_back([this] { WorkerLoop(); });
+        } catch (const std::system_error&) {
+          if (workers_.empty()) {
+            task = std::move(queue_.back());
+            queue_.pop_back();
+            lock.unlock();
+            task();
+            return;
+          }
+        }
+      }
       lock.unlock();
       if (obs::MetricsRegistry::Global().enabled()) {
         queue_depth_gauge_->Add(1);

@@ -33,12 +33,17 @@ class Gauge;
 ///  - The task queue is bounded (`kMaxQueuedTasks`); beyond the bound the
 ///    submitting thread runs the task inline — backpressure that cannot
 ///    deadlock.
+///  - Workers start on demand: a task queued while no worker is idle
+///    starts one, up to `num_threads()`. A pool sized for bursts of
+///    blocking calls (the service registry's invokers) therefore costs
+///    only the threads its widest burst used.
 class ThreadPool {
  public:
   /// Queue bound beyond which `Execute` degrades to inline execution.
   static constexpr std::size_t kMaxQueuedTasks = 4096;
 
-  /// A pool with `num_threads` workers; 0 = serial mode (see above).
+  /// A pool of up to `num_threads` workers, started on demand; 0 = serial
+  /// mode (see above).
   explicit ThreadPool(std::size_t num_threads);
 
   /// Joins all workers after draining the queue.
@@ -47,10 +52,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return workers_.size(); }
+  /// The most workers this pool runs.
+  std::size_t num_threads() const { return max_threads_; }
+
+  /// Workers started so far (at most `num_threads()`).
+  std::size_t started_threads();
 
   /// True when the pool has no workers and runs everything inline.
-  bool serial() const { return workers_.empty(); }
+  bool serial() const { return max_threads_ == 0; }
 
   /// Enqueues `task` for execution on a worker. Runs it inline when the
   /// pool is serial, shutting down, or the queue is at its bound.
@@ -90,9 +99,13 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
+  const std::size_t max_threads_;
+
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
+  /// Workers waiting for a task; a push beyond them starts a worker.
+  std::size_t idle_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 

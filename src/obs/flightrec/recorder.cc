@@ -260,10 +260,8 @@ void FlightRecorder::OnQueryStep(Timestamp now, const ContinuousQuery& query,
   if (rows != nullptr) output.rows = rows->tuples();
   output.failed_tuples = query.last_failed_tuples();
   // This step's actions: the tail of the audit trail stamped `now`.
-  const auto& log = query.action_log();
-  std::size_t first = log.size();
-  while (first > 0 && log[first - 1].instant == now) --first;
-  for (std::size_t i = first; i < log.size(); ++i) {
+  const ActionLog& log = query.action_log();
+  for (std::size_t i = log.InstantStart(now); i < log.size(); ++i) {
     output.actions.push_back(log[i].action.ToString());
   }
   current_.outputs.push_back(std::move(output));

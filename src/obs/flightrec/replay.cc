@@ -167,10 +167,8 @@ class ReplayComparer : public TickObserver {
              replayed_failed);
     }
     std::vector<std::string> actions;
-    const auto& log = query.action_log();
-    std::size_t first = log.size();
-    while (first > 0 && log[first - 1].instant == now) --first;
-    for (std::size_t i = first; i < log.size(); ++i) {
+    const ActionLog& log = query.action_log();
+    for (std::size_t i = log.InstantStart(now); i < log.size(); ++i) {
       actions.push_back(log[i].action.ToString());
     }
     const std::string recorded_actions = StringsToJson(recorded.actions);

@@ -308,16 +308,22 @@ std::vector<Result<TupleRows>> ServiceRegistry::InvokeMany(
     std::uint64_t span_id = 0;  ///< Preallocated invocation span.
   };
   std::vector<Group> groups;
-  // Requests whose key is owned by an earlier call (possibly still in
-  // flight): resolved from the owner's future after dispatch.
+  // Keys owned by an earlier call (possibly still in flight), with every
+  // request of this batch that awaits it: resolved from the owner's future
+  // after dispatch.
   struct Await {
-    std::size_t index;
+    std::vector<std::size_t> indices;
     MemoSlot slot;
   };
   std::vector<Await> awaits;
   const bool tracing = obs::TraceBuffer::Global().enabled();
   {
-    std::unordered_map<MemoKey, std::size_t, MemoKeyHasher> pending;
+    // Where this batch already placed a key: a group it owns, or an await.
+    struct Placed {
+      bool owned;
+      std::size_t index;
+    };
+    std::unordered_map<MemoKey, Placed, MemoKeyHasher> placed;
     std::lock_guard<std::mutex> lock(memo_mu_);
     RefreshInstantLocked(now);
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -332,19 +338,22 @@ std::vector<Result<TupleRows>> ServiceRegistry::InvokeMany(
       MemoKey key{prototype.name(), request.service_ref, request.input};
       // Batch-internal duplicates group before consulting the memo so a
       // duplicate of a failing request shares the failure (see header).
-      const auto pending_it = pending.find(key);
-      if (pending_it != pending.end()) {
+      const auto placed_it = placed.find(key);
+      if (placed_it != placed.end()) {
         stats_.memo_hits.fetch_add(1, std::memory_order_relaxed);
         if (tally != nullptr) ++tally->memo_hits;
         if (instruments.memo_hits != nullptr) {
           instruments.memo_hits->Increment();
         }
-        groups[pending_it->second].indices.push_back(i);
+        const Placed& at = placed_it->second;
+        (at.owned ? groups[at.index].indices : awaits[at.index].indices)
+            .push_back(i);
         continue;
       }
       const auto memo_it = memo_.find(key);
       if (memo_it != memo_.end()) {
-        awaits.push_back(Await{i, memo_it->second});
+        placed.emplace(std::move(key), Placed{false, awaits.size()});
+        awaits.push_back(Await{{i}, memo_it->second});
         continue;
       }
       if (instruments.memo_misses != nullptr) {
@@ -357,17 +366,22 @@ std::vector<Result<TupleRows>> ServiceRegistry::InvokeMany(
       memo_.emplace(key,
                     MemoSlot{group.promise.get_future().share(),
                              group.span_id});
-      pending.emplace(std::move(key), groups.size());
+      placed.emplace(std::move(key), Placed{true, groups.size()});
       groups.push_back(std::move(group));
     }
   }
+
+  // A serial caller pool is the oracle configuration: every call inline,
+  // in request order. Otherwise the calls run on the invoker threads, so
+  // one waiting on a device holds no thread of the caller's pool.
+  if (pool == nullptr) pool = &ThreadPool::Shared();
+  ThreadPool& invokers = pool->serial() ? *pool : invokers_;
 
   if (!groups.empty()) {
     std::vector<Result<TupleRows>> group_results(
         groups.size(), Result<TupleRows>(Status::Internal("unresolved")));
     std::atomic<bool> cancelled{false};
-    if (pool == nullptr) pool = &ThreadPool::Shared();
-    pool->ParallelFor(groups.size(), [&](std::size_t g) {
+    invokers.ParallelFor(groups.size(), [&](std::size_t g) {
       Group& group = groups[g];
       Result<TupleRows> result = Status::Unavailable(kCancelledMessage);
       if (cancel_on_error && cancelled.load(std::memory_order_relaxed)) {
@@ -406,30 +420,43 @@ std::vector<Result<TupleRows>> ServiceRegistry::InvokeMany(
     }
   }
 
-  // Resolve requests owned by other calls. The owners run on their own
-  // threads (never queued behind this ParallelFor), so waiting here is
-  // deadlock-free.
-  for (Await& await : awaits) {
+  // Resolve keys owned by other calls. Every owner makes its call on a
+  // thread that is not waiting on this batch (its own caller takes part
+  // in its dispatch), so waiting here is deadlock-free.
+  std::vector<std::size_t> failed_awaits;
+  for (std::size_t a = 0; a < awaits.size(); ++a) {
+    const Await& await = awaits[a];
+    const std::size_t first = await.indices.front();
     Result<TupleRows> result = [&] {
-      obs::Span span("invoke.wait", now,
-                     requests[await.index].service_ref);
+      obs::Span span("invoke.wait", now, requests[first].service_ref);
       span.set_link_span(await.slot.span_id);
       return await.slot.future.get();
     }();
-    if (result.ok()) {
-      stats_.memo_hits.fetch_add(1, std::memory_order_relaxed);
-      if (tally != nullptr) ++tally->memo_hits;
-      if (instruments.memo_hits != nullptr) {
-        instruments.memo_hits->Increment();
-      }
-      results[await.index] = std::move(result);
-    } else {
-      // The owner failed; retry physically (logical invocation already
-      // counted above).
-      const InvocationRequest& request = requests[await.index];
-      results[await.index] =
-          InvokeMemoized(prototype, request.service_ref, request.input, now,
-                         instruments, tally);
+    if (!result.ok()) {
+      failed_awaits.push_back(a);
+      continue;
+    }
+    stats_.memo_hits.fetch_add(1, std::memory_order_relaxed);
+    if (tally != nullptr) ++tally->memo_hits;
+    if (instruments.memo_hits != nullptr) instruments.memo_hits->Increment();
+    for (const std::size_t i : await.indices) results[i] = result;
+  }
+
+  // The owner failed: retry each such key physically once, for all its
+  // awaiting requests (logical invocations already counted above), as a
+  // serial caller arriving after the failure would.
+  std::vector<InvocationTally> retry_tallies(failed_awaits.size());
+  invokers.ParallelFor(failed_awaits.size(), [&](std::size_t r) {
+    const Await& await = awaits[failed_awaits[r]];
+    const InvocationRequest& request = requests[await.indices.front()];
+    const Result<TupleRows> result =
+        InvokeMemoized(prototype, request.service_ref, request.input, now,
+                       instruments, &retry_tallies[r]);
+    for (const std::size_t i : await.indices) results[i] = result;
+  });
+  if (tally != nullptr) {
+    for (const InvocationTally& retry : retry_tallies) {
+      tally->memo_hits += retry.memo_hits;
     }
   }
   return results;

@@ -15,14 +15,13 @@
 
 #include "common/clock.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "service/prototype.h"
 #include "service/service.h"
 #include "types/tuple.h"
 
 namespace serena {
-
-class ThreadPool;
 
 /// Counters describing the invocation traffic a query (or a whole run)
 /// generated. Exposed for the cost model and the benchmark harness.
@@ -91,10 +90,19 @@ struct InvocationRequest {
 /// invocations (Def. 8 side effects) at exactly one physical occurrence
 /// per (service, input, instant) even across concurrently-stepped
 /// queries, exactly as under serial evaluation. A failed call is removed
-/// from the memo and awaiting callers retry physically (failures are
-/// never memoized, matching the serial retry behavior).
+/// from the memo (failures are never memoized) and each caller awaiting it
+/// retries physically once per key, as a serial caller arriving after the
+/// failure would.
+///
+/// Invoker threads: the physical calls of a parallel `InvokeMany` batch
+/// run on the registry's own pool of up to `kInvokerThreads` threads,
+/// started on demand, with the calling thread participating. A call
+/// waiting on a device thus holds no thread of the caller's (CPU) pool.
 class ServiceRegistry {
  public:
+  /// The most invoker threads one registry starts.
+  static constexpr std::size_t kInvokerThreads = 64;
+
   ServiceRegistry() = default;
 
   ServiceRegistry(const ServiceRegistry&) = delete;
@@ -140,13 +148,17 @@ class ServiceRegistry {
   /// would have recorded. (Duplicates of a *failing* request share its
   /// failure; the serial loop would have retried them physically, so
   /// failure-path stats can differ from N sequential `Invoke` calls.)
+  /// Requests whose key another caller has in flight await it; if that
+  /// call fails, the key is retried physically once for all of them.
   ///
-  /// Residual physical calls are dispatched concurrently on `pool`
-  /// (nullptr = `ThreadPool::Shared()`; a serial pool dispatches in
-  /// request order). With `cancel_on_error`, the first physical failure
-  /// stops not-yet-started physical calls; those return a status for
-  /// which `IsCancelled()` is true. A non-null `tally` additionally
-  /// receives this batch's logical invocations and memo hits.
+  /// `pool` is the caller's pool (nullptr = `ThreadPool::Shared()`). A
+  /// serial pool makes every physical call inline, in request order;
+  /// otherwise the calls and retries run concurrently on the invoker
+  /// threads. With `cancel_on_error`, the first physical failure stops
+  /// not-yet-started physical calls (calls already in flight finish);
+  /// those return a status for which `IsCancelled()` is true. A non-null
+  /// `tally` additionally receives this batch's logical invocations and
+  /// memo hits.
   std::vector<Result<TupleRows>> InvokeMany(
       const Prototype& prototype,
       std::span<const InvocationRequest> requests, Timestamp now,
@@ -294,6 +306,10 @@ class ServiceRegistry {
 
   InvocationObserver invocation_observer_;
   ReplayFeed replay_feed_;
+
+  /// Declared last: its workers are joined before the state they use is
+  /// destroyed.
+  ThreadPool invokers_{kInvokerThreads};
 };
 
 }  // namespace serena

@@ -1,9 +1,25 @@
 #include "stream/continuous_query.h"
 
+#include <utility>
+
 #include "obs/metrics.h"
 #include "obs/stats.h"
 
 namespace serena {
+
+void ActionLog::Append(Timestamp instant, Action action) {
+  entries_.push_back(LoggedAction{instant, std::move(action)});
+  while (entries_.size() > kRetained && entries_.front().instant != instant) {
+    entries_.pop_front();
+    ++dropped_;
+  }
+}
+
+std::size_t ActionLog::InstantStart(Timestamp instant) const {
+  std::size_t first = size();
+  while (first > dropped_ && (*this)[first - 1].instant == instant) --first;
+  return first;
+}
 
 Result<XRelation> ContinuousQuery::Step(Environment* env,
                                         StreamStore* streams,
@@ -17,7 +33,7 @@ Result<XRelation> ContinuousQuery::Step(Environment* env,
   ctx.pool = pool;
   ctx.actions = &accumulated_actions_;
   ctx.action_sink = [this, instant](const Action& action) {
-    action_log_.push_back(LoggedAction{instant, action});
+    action_log_.Append(instant, action);
   };
   ctx.error_policy = InvocationErrorPolicy::kSkipTuple;
   ctx.state = &state_;

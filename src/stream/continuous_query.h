@@ -1,6 +1,8 @@
 #ifndef SERENA_STREAM_CONTINUOUS_QUERY_H_
 #define SERENA_STREAM_CONTINUOUS_QUERY_H_
 
+#include <cstddef>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -11,6 +13,55 @@
 #include "obs/stats.h"
 
 namespace serena {
+
+/// One entry in a standing query's audit trail: when which action fired.
+struct LoggedAction {
+  Timestamp instant;
+  Action action;
+};
+
+/// The recent part of a standing query's timestamped audit trail of active
+/// invocations, in firing order (every occurrence, no deduplication).
+///
+/// Entries are addressed by their offset in the whole trail: `size()`
+/// counts every action ever appended, and `log[i]` is valid for `i` in
+/// [`first_index()`, `size()`). Iteration covers the retained entries.
+/// Appending drops the oldest entries beyond `kRetained`, but never one
+/// stamped with the instant being appended, so the current instant's
+/// actions are always complete. The complete trail is the flight
+/// recorder's journal, which records each step's actions.
+class ActionLog {
+ public:
+  /// Entries of earlier instants kept beside the current instant's.
+  static constexpr std::size_t kRetained = 1024;
+
+  void Append(Timestamp instant, Action action);
+
+  /// Actions appended since the query was registered.
+  std::size_t size() const { return dropped_ + entries_.size(); }
+  bool empty() const { return size() == 0; }
+
+  /// Offset of the oldest retained entry.
+  std::size_t first_index() const { return dropped_; }
+
+  /// Offset of the first entry of the trailing run stamped `instant`
+  /// (`size()` when the last entry has another instant).
+  std::size_t InstantStart(Timestamp instant) const;
+
+  /// The entry at offset `index`, for `first_index() <= index < size()`.
+  const LoggedAction& operator[](std::size_t index) const {
+    return entries_[index - dropped_];
+  }
+
+  auto begin() const { return entries_.begin(); }
+  auto end() const { return entries_.end(); }
+  auto rbegin() const { return entries_.rbegin(); }
+  auto rend() const { return entries_.rend(); }
+
+ private:
+  std::deque<LoggedAction> entries_;
+  std::size_t dropped_ = 0;
+};
 
 /// A registered continuous query (§4): a Serena plan evaluated once per
 /// instant with delta-aware semantics — the Streaming operator emits
@@ -56,20 +107,14 @@ class ContinuousQuery {
   /// All actions (active invocations) the query has triggered since
   /// registration (Def. 8, accumulated over instants). Being a *set*,
   /// identical actions at different instants collapse — see `action_log`
-  /// for the full timestamped trace.
+  /// for the timestamped trace.
   const ActionSet& accumulated_actions() const {
     return accumulated_actions_;
   }
 
-  /// One entry in the audit trail: when which action fired.
-  struct LoggedAction {
-    Timestamp instant;
-    Action action;
-  };
-
-  /// The complete timestamped audit trail of active invocations, in
-  /// firing order (every occurrence, no deduplication).
-  const std::vector<LoggedAction>& action_log() const { return action_log_; }
+  /// The timestamped audit trail of active invocations, bounded to its
+  /// recent part (see `ActionLog`).
+  const ActionLog& action_log() const { return action_log_; }
 
   /// Number of completed steps.
   std::uint64_t steps() const { return steps_; }
@@ -103,7 +148,7 @@ class ContinuousQuery {
   /// allocation-free.
   vec::BatchPool batch_pool_;
   ActionSet accumulated_actions_;
-  std::vector<LoggedAction> action_log_;
+  ActionLog action_log_;
   std::vector<Tuple> last_failed_tuples_;
   std::uint64_t steps_ = 0;
   /// `obs::FingerprintPlan(*plan_)`, computed on the first recorded step.

@@ -233,6 +233,52 @@ TEST_F(ContinuousTest, ActionLogKeepsEveryOccurrenceWithTimestamps) {
   EXPECT_GE(log.size(), q3->accumulated_actions().size());
 }
 
+TEST(ContinuousActionLogTest, RetainsRecentEntriesAndTheWholeCurrentInstant) {
+  ActionLog log;
+  const auto action = [](std::size_t n) {
+    return Action{"sendMessage", "messenger", "email",
+                  Tuple{Value::Int(static_cast<std::int64_t>(n))}};
+  };
+  // Many instants of 7 actions each, then one instant of more actions
+  // than the log retains from earlier instants.
+  constexpr std::size_t kPerInstant = 7;
+  constexpr Timestamp kInstants = 3 * ActionLog::kRetained / kPerInstant;
+  std::size_t appended = 0;
+  for (Timestamp t = 0; t < kInstants; ++t) {
+    for (std::size_t i = 0; i < kPerInstant; ++i) {
+      log.Append(t, action(appended++));
+    }
+    const std::size_t retained = log.size() - log.first_index();
+    EXPECT_LE(retained, ActionLog::kRetained + kPerInstant);
+  }
+  const std::size_t burst = ActionLog::kRetained + 5;
+  for (std::size_t i = 0; i < burst; ++i) {
+    log.Append(kInstants, action(appended++));
+  }
+
+  // size() counts every action; offsets keep addressing the same entries.
+  EXPECT_EQ(log.size(), appended);
+  EXPECT_GT(log.first_index(), 0u);
+  EXPECT_LE(log.size() - log.first_index(), ActionLog::kRetained + burst);
+  for (std::size_t i = log.first_index(); i < log.size(); ++i) {
+    EXPECT_EQ(log[i].action, action(i));
+  }
+  // The current instant's tail is complete.
+  const std::size_t start = log.InstantStart(kInstants);
+  EXPECT_EQ(log.size() - start, burst);
+  EXPECT_GE(start, log.first_index());
+  for (std::size_t i = start; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].instant, kInstants);
+  }
+  // Iteration covers exactly the retained entries, in firing order.
+  std::size_t offset = log.first_index();
+  for (const LoggedAction& entry : log) {
+    EXPECT_EQ(entry.action, action(offset++));
+  }
+  EXPECT_EQ(offset, log.size());
+  EXPECT_EQ(log.InstantStart(kInstants + 1), log.size());
+}
+
 TEST(PhotoMessagingTest, Q5SendsPhotoAlertsToAreaManager) {
   // The full §5.2 surveillance pipeline: hot reading -> manager's contact
   // entry -> camera of the same area -> takePhoto -> sendPhotoMessage.

@@ -2,6 +2,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -195,6 +196,114 @@ TEST(ParallelInvokeTest, InvokeManyDedupsIdenticalRequestsWithinBatch) {
   EXPECT_EQ(stats.logical_invocations, 6u);
   EXPECT_EQ(stats.physical_invocations, 3u);
   EXPECT_EQ(stats.memo_hits, 3u);
+}
+
+/// Each result of a batch as text, in request order.
+std::string RenderResults(const std::vector<Result<TupleRows>>& results) {
+  std::string out;
+  for (const Result<TupleRows>& result : results) {
+    if (!result.ok()) {
+      out += result.status().ToString() + "\n";
+      continue;
+    }
+    for (const Tuple& row : *result.ValueOrDie()) out += row.ToString();
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(ParallelInvokeTest, InvokeManyOverlapsCallsBeyondTheCallerPool) {
+  // 32 distinct 20 ms calls through a caller pool of one worker: the
+  // registry's invoker threads, not the caller's pool, set the width.
+  std::vector<InvocationRequest> requests;
+  for (int i = 0; i < 32; ++i) {
+    requests.push_back({"svc" + std::to_string(i), Tuple{Value::Int(i)}});
+  }
+  ProbeEnv serial_env(32);
+  ThreadPool serial_pool(0);
+  const std::string serial = RenderResults(serial_env.registry.InvokeMany(
+      *serial_env.proto, requests, 1, &serial_pool));
+
+  ProbeEnv env(32, std::chrono::milliseconds(20));
+  ThreadPool pool(1);
+  // The first batch also starts the invokers; time the second, which
+  // makes every call again at a new instant.
+  env.registry.InvokeMany(*env.proto, requests, 0, &pool);
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<Result<TupleRows>> results =
+      env.registry.InvokeMany(*env.proto, requests, 1, &pool);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(80));
+  EXPECT_EQ(env.physical_calls.load(), 64);
+  // Request order and content exactly as the serial pool produced them.
+  EXPECT_EQ(RenderResults(results), serial);
+}
+
+TEST(ParallelInvokeTest, FailedOwnerCostsOneRetryPerAwaitedKey) {
+  // Caller A owns a failing key. Caller B's batch awaits that key twice
+  // and also calls `opener`, which B dispatches only after classifying
+  // its batch; `opener` releases A's call. A serial caller arriving after
+  // A's failure would call the key once for both duplicates, so B must
+  // retry it once: two calls of `down` in all, on any pool.
+  struct Counts {
+    int down_calls;
+    std::uint64_t physical;
+    std::uint64_t failed;
+    bool operator==(const Counts&) const = default;
+  };
+  const auto run = [](std::size_t threads) {
+    ServiceRegistry registry;
+    const PrototypePtr proto = MakeProbePrototype();
+    std::atomic<int> down_calls{0};
+    std::promise<void> entered;
+    std::promise<void> opened;
+    std::shared_future<void> latch = opened.get_future().share();
+    auto down = std::make_shared<LambdaService>("down");
+    down->AddMethod(proto, [&](const Tuple&, Timestamp)
+                               -> Result<std::vector<Tuple>> {
+      if (down_calls.fetch_add(1) == 0) {
+        entered.set_value();
+        latch.wait();
+      }
+      return Status::Unavailable("down");
+    });
+    auto opener = std::make_shared<LambdaService>("opener");
+    opener->AddMethod(proto, [&](const Tuple& input, Timestamp)
+                                 -> Result<std::vector<Tuple>> {
+      opened.set_value();
+      return std::vector<Tuple>{input};
+    });
+    EXPECT_TRUE(registry.Register(down).ok());
+    EXPECT_TRUE(registry.Register(opener).ok());
+
+    ThreadPool pool(threads);
+    const Tuple key{Value::Int(1)};
+    const std::vector<InvocationRequest> first{{"down", key}};
+    const std::vector<InvocationRequest> second{
+        {"down", key}, {"down", key}, {"opener", Tuple{Value::Int(2)}}};
+    std::vector<Result<TupleRows>> a, b;
+    std::thread owner(
+        [&] { a = registry.InvokeMany(*proto, first, 1, &pool); });
+    entered.get_future().wait();
+    std::thread awaiter(
+        [&] { b = registry.InvokeMany(*proto, second, 1, &pool); });
+    owner.join();
+    awaiter.join();
+
+    EXPECT_FALSE(a[0].ok());
+    EXPECT_FALSE(b[0].ok());
+    EXPECT_FALSE(b[1].ok());
+    EXPECT_TRUE(b[2].ok());
+    const InvocationStats stats = registry.stats();
+    return Counts{down_calls.load(), stats.physical_invocations,
+                  stats.failed_invocations};
+  };
+
+  const Counts serial = run(/*threads=*/0);
+  EXPECT_EQ(serial.down_calls, 2);
+  EXPECT_EQ(serial.failed, 2u);
+  EXPECT_EQ(serial.physical, 1u);  // `opener`; failed calls count as failed.
+  EXPECT_TRUE(run(/*threads=*/4) == serial);
 }
 
 TEST(ParallelInvokeTest, MemoHitReturnsSharedRowsAcrossCalls) {

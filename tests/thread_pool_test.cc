@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
@@ -114,6 +115,33 @@ TEST(ThreadPoolTest, ZeroIterationsIsANoop) {
   bool ran = false;
   pool.ParallelFor(0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+TEST(ThreadPoolTest, StartsWorkersOnlyOnDemand) {
+  ThreadPool pool(64);
+  EXPECT_EQ(pool.num_threads(), 64u);
+  EXPECT_EQ(pool.started_threads(), 0u);
+  std::atomic<int> total{0};
+  pool.ParallelFor(3, [&](std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 3);
+  // Two helpers were queued beside the participating caller.
+  EXPECT_LE(pool.started_threads(), 2u);
+}
+
+TEST(ThreadPoolTest, OnDemandPoolDrainsAndJoinsOnDestruction) {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(64);
+    for (int i = 0; i < 100; ++i) {
+      pool.Execute([&] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ran.fetch_add(1);
+      });
+    }
+    EXPECT_GE(pool.started_threads(), 1u);
+    EXPECT_LE(pool.started_threads(), 64u);
+  }
+  EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(ThreadPoolTest, ConfiguredThreadCountParsesEnvironment) {
