@@ -427,6 +427,15 @@ bool FormulaReferences(const Formula& formula, std::string_view name) {
   return attrs.count(std::string(name)) > 0;
 }
 
+bool ReadsOnlyRealOf(const Formula& formula, const ExtendedSchema& schema) {
+  std::set<std::string> attrs;
+  formula.CollectAttributes(&attrs);
+  for (const std::string& attr : attrs) {
+    if (!schema.IsReal(attr)) return false;
+  }
+  return true;
+}
+
 std::vector<FormulaPtr> SplitConjuncts(const FormulaPtr& formula) {
   std::vector<FormulaPtr> conjuncts;
   if (formula == nullptr) return conjuncts;

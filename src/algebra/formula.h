@@ -223,6 +223,14 @@ class Formula {
 /// True if the formula references attribute `name`.
 bool FormulaReferences(const Formula& formula, std::string_view name);
 
+/// True when every attribute the formula reads is real in `schema` — the
+/// one test for "may this σ conjunct sit over that relation?". Parameters
+/// and constants are ignored (an unbound `:param` does not block
+/// placement), which is why this is not `Validate`. The §3.3 active-β
+/// barrier is the caller's: SER030's fix-it crosses an active β on
+/// purpose.
+bool ReadsOnlyRealOf(const Formula& formula, const ExtendedSchema& schema);
+
 /// Recursively splits top-level conjunctions into their conjuncts
 /// (a single non-conjunction formula yields itself).
 std::vector<FormulaPtr> SplitConjuncts(const FormulaPtr& formula);

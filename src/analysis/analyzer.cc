@@ -651,11 +651,7 @@ class Analyzer {
     if (select.child().get() != &invoke) return {};
     const auto schema_it = schemas_.find(invoke.child().get());
     if (schema_it == schemas_.end()) return {};
-    std::set<std::string> attributes;
-    select.formula()->CollectAttributes(&attributes);
-    for (const std::string& attribute : attributes) {
-      if (!schema_it->second->IsReal(attribute)) return {};
-    }
+    if (!ReadsOnlyRealOf(*select.formula(), *schema_it->second)) return {};
     const PlanPtr pushed =
         Invoke(Select(invoke.child(), select.formula()), invoke.prototype(),
                invoke.service_attribute());

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "algebra/formula.h"
-#include "analysis/analyzer.h"
 #include "obs/stats.h"
 #include "schema/extended_schema.h"
 
@@ -34,6 +33,9 @@ bool IsRegionRoot(const PlanNode& node) {
 /// validate it: the conjunct may sink to any leaf subset S where every
 /// referenced attribute is real in ⋈(S)'s schema, i.e. real in at least
 /// one member leaf (shared attributes merge real-if-either, Table 3).
+/// This is `ReadsOnlyRealOf` evaluated over leaf *sets* through per-leaf
+/// bitmasks: a conjunct may be covered only by a union of leaves, and a
+/// schema per subset would cost 2ⁿ inferences.
 struct Conjunct {
   FormulaPtr formula;
   /// One bitmask per referenced attribute: leaves where it is real.
@@ -282,31 +284,11 @@ class Enumerator {
   Result<EnumerationResult> Run(const PlanPtr& plan) {
     SERENA_ASSIGN_OR_RETURN(PlanPtr transformed, Transform(plan));
     EnumerationResult result;
-    result.plan = plan;
+    result.plan = changed_ ? transformed : plan;
     result.fragments = fragments_;
     result.join_regions = join_regions_;
     result.rejected = std::move(rejected_);
-    if (!changed_ || transformed->ToString() == plan->ToString()) {
-      return result;
-    }
-    // Verify-or-revert, like the semantic pass: the restructured plan
-    // must keep the exact root schema and stay analyzer-clean.
-    auto original_schema = plan->InferSchema(env_, streams_);
-    auto new_schema = transformed->InferSchema(env_, streams_);
-    bool sound = original_schema.ok() && new_schema.ok() &&
-                 (*new_schema)->SameAttributes(**original_schema);
-    if (sound) {
-      AnalyzerOptions reanalyze;
-      reanalyze.include_warnings = false;
-      auto diagnostics = AnalyzePlan(transformed, env_, streams_, reanalyze);
-      sound = diagnostics.ok() && IsValid(*diagnostics);
-    }
-    if (!sound) {
-      result.reverted = true;
-      return result;
-    }
-    result.plan = transformed;
-    result.changed = true;
+    if (!changed_) return result;
     if (auto naive = model_.Estimate(plan); naive.ok()) {
       result.naive_cost = naive->Total();
     }

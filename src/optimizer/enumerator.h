@@ -56,12 +56,8 @@ struct RejectedPlan {
 };
 
 struct EnumerationResult {
+  /// The input plan itself unless a join region was restructured.
   PlanPtr plan;
-  /// The enumerator restructured at least one join region.
-  bool changed = false;
-  /// A restructuring was found but failed schema/analysis verification
-  /// and was rolled back.
-  bool reverted = false;
   /// Full-plan estimated totals under the enumeration's cost model.
   double chosen_cost = 0;
   double naive_cost = 0;
@@ -83,9 +79,10 @@ struct EnumerationResult {
 /// order and σ/β placement (σ conjuncts sink to the smallest leaf subset
 /// whose joined schema validates them; passive β leaves may hoist above
 /// the region when that is cheaper; a compensating π restores the
-/// original schema order). The result is verified — identical root
-/// schema, analyzer-clean — or reverted; given identical statistics
-/// snapshots the enumeration is fully deterministic.
+/// original schema order). The result is not verified here:
+/// `optimizer::Pipeline` checks it with `VerifyStage` and reverts it on
+/// failure. Given identical statistics snapshots the enumeration is fully
+/// deterministic.
 Result<EnumerationResult> EnumeratePlan(const PlanPtr& plan,
                                         const Environment& env,
                                         const StreamStore* streams,

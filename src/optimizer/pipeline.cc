@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "analysis/analyzer.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
 
@@ -91,9 +92,23 @@ std::string PipelineReport::Render() const {
   } else if (cost_reverted) {
     out << "cost-based enumeration: reverted\n";
   }
-  if (rules_changed) out << "rule rewriter: changed plan\n";
+  if (rules_changed) {
+    out << "rule rewriter: changed plan\n";
+  } else if (rules_reverted) {
+    out << "rule rewriter: reverted\n";
+  }
   if (!changed()) out << "no change\n";
   return out.str();
+}
+
+bool VerifyStage(const PlanPtr& candidate, const ExtendedSchema& root_schema,
+                 const Environment& env, const StreamStore* streams) {
+  auto schema = candidate->InferSchema(env, streams);
+  if (!schema.ok() || !(*schema)->SameAttributes(root_schema)) return false;
+  AnalyzerOptions reanalyze;
+  reanalyze.include_warnings = false;
+  auto diagnostics = AnalyzePlan(candidate, env, streams, reanalyze);
+  return diagnostics.ok() && IsValid(*diagnostics);
 }
 
 Pipeline::Pipeline(const Environment* env, const StreamStore* streams,
@@ -126,31 +141,54 @@ Result<PlanPtr> Pipeline::Optimize(const PlanPtr& plan,
     report->stages = options_.StagesString();
     report->cost_model = cost_model_ != nullptr ? cost_model_->name() : "";
   }
+  // Nothing can be verified without an environment.
+  if (env_ == nullptr) return plan;
   PlanPtr current = plan;
+  // Every stage's output is verified against `plan`'s root schema,
+  // inferred on the first stage that returns a new plan: most
+  // optimizations change nothing and never pay for it.
+  ExtendedSchemaPtr root_schema;
+  bool root_inferred = false;
+  auto verified = [&](const PlanPtr& candidate) {
+    if (!root_inferred) {
+      root_inferred = true;
+      if (auto schema = plan->InferSchema(*env_, streams_); schema.ok()) {
+        root_schema = *schema;
+      }
+    }
+    return root_schema != nullptr &&
+           VerifyStage(candidate, *root_schema, *env_, streams_);
+  };
 
-  if (options_.semantic && env_ != nullptr) {
+  if (options_.semantic) {
     SERENA_ASSIGN_OR_RETURN(
         SemanticRewriteResult semantic,
         SemanticOptimize(current, *env_, streams_, context));
-    if (semantic.changed()) {
+    const bool changed = semantic.plan != current;
+    const bool kept = changed && verified(semantic.plan);
+    if (kept) {
       Count("serena.optimizer.semantic.changed");
+      CountSemanticSteps(semantic.steps);
       current = semantic.plan;
+    } else if (changed) {
+      Count("serena.rewrite.semantic.reverted");
     }
     if (report != nullptr) {
       report->semantic_steps = std::move(semantic.steps);
-      report->semantic_reverted = semantic.reverted;
+      report->semantic_reverted = semantic.reverted || (changed && !kept);
     }
   }
 
-  if (options_.cost && env_ != nullptr && cost_model_ != nullptr) {
+  if (options_.cost && cost_model_ != nullptr) {
     Count("serena.optimizer.cost.enumerated");
     SERENA_ASSIGN_OR_RETURN(
         EnumerationResult enumeration,
         EnumeratePlan(current, *env_, streams_, cost_model_,
                       options_.enumeration));
     Count("serena.optimizer.cost.fragments", enumeration.fragments);
-    if (enumeration.reverted) Count("serena.optimizer.cost.reverted");
-    if (enumeration.changed) {
+    const bool changed = enumeration.plan != current;
+    const bool kept = changed && verified(enumeration.plan);
+    if (kept) {
       Count("serena.optimizer.cost.reordered");
       current = enumeration.plan;
       // Stats recorded for the old shape keep feeding EXPLAIN ANALYZE
@@ -160,25 +198,37 @@ Result<PlanPtr> Pipeline::Optimize(const PlanPtr& plan,
            enumeration.refingerprints) {
         stats.AddFingerprintAlias(new_fingerprint, old_fingerprint);
       }
+    } else if (changed) {
+      Count("serena.optimizer.cost.reverted");
     }
     if (report != nullptr) {
-      report->cost_changed = enumeration.changed;
-      report->cost_reverted = enumeration.reverted;
-      report->chosen_cost = enumeration.chosen_cost;
-      report->naive_cost = enumeration.naive_cost;
+      report->cost_changed = kept;
+      report->cost_reverted = changed && !kept;
       report->fragments = enumeration.fragments;
       report->join_regions = enumeration.join_regions;
       report->rejected = std::move(enumeration.rejected);
-      report->refingerprinted = enumeration.refingerprints.size();
+      if (kept) {
+        report->chosen_cost = enumeration.chosen_cost;
+        report->naive_cost = enumeration.naive_cost;
+        report->refingerprinted = enumeration.refingerprints.size();
+      }
     }
   }
 
   if (options_.rules) {
     SERENA_ASSIGN_OR_RETURN(PlanPtr rewritten, rewriter_.Optimize(current));
-    const bool changed = rewritten->ToString() != current->ToString();
-    if (changed) Count("serena.optimizer.rules.changed");
-    if (report != nullptr) report->rules_changed = changed;
-    current = std::move(rewritten);
+    const bool changed = rewritten != current;
+    const bool kept = changed && verified(rewritten);
+    if (kept) {
+      Count("serena.optimizer.rules.changed");
+      current = std::move(rewritten);
+    } else if (changed) {
+      Count("serena.optimizer.rules.reverted");
+    }
+    if (report != nullptr) {
+      report->rules_changed = kept;
+      report->rules_reverted = changed && !kept;
+    }
   }
   return current;
 }

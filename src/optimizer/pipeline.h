@@ -62,6 +62,7 @@ struct PipelineReport {
   std::size_t refingerprinted = 0;
   /// Rules stage.
   bool rules_changed = false;
+  bool rules_reverted = false;
 
   bool changed() const {
     return (!semantic_steps.empty() && !semantic_reverted) || cost_changed ||
@@ -73,19 +74,31 @@ struct PipelineReport {
   std::string Render() const;
 };
 
+/// The Def. 9 guard every optimizer stage's output passes before the
+/// pipeline keeps it: `candidate` must infer exactly `root_schema`
+/// (attribute order included — rendering depends on it) and re-analyze
+/// without errors (warnings off). It turns a hole in any stage's
+/// reasoning into a no-op instead of a wrong answer.
+bool VerifyStage(const PlanPtr& candidate, const ExtendedSchema& root_schema,
+                 const Environment& env, const StreamStore* streams);
+
 /// The optimizer facade: the single entry point for
 /// `QueryProcessor::OptimizePlan`, the shell's `\optimize`, EXPLAIN and
 /// `serena_lint`. Runs semantic folds → cost-based enumeration → classic
-/// rules per `OptimizerOptions`, maintains the `serena.optimizer.*`
-/// counters, and registers fingerprint aliases for restructured
-/// operators so runtime statistics follow the plan shape.
+/// rules per `OptimizerOptions`, verifies each stage's output
+/// (`VerifyStage`), maintains the `serena.optimizer.*` counters, and
+/// registers fingerprint aliases for kept restructurings so runtime
+/// statistics follow the plan shape.
 class Pipeline {
  public:
   Pipeline(const Environment* env, const StreamStore* streams,
            OptimizerOptions options = {});
 
   /// Optimizes `plan` for execution in `context`. Never returns a plan
-  /// with a different root schema; stages verify-or-revert individually.
+  /// with a different root schema: every stage that returns a new plan
+  /// must pass `VerifyStage` against `plan`'s root schema, or its output
+  /// is discarded and the stage reported as reverted. Without an
+  /// environment nothing can be verified and `plan` is returned as is.
   /// `report`, when non-null, receives the per-stage summary.
   Result<PlanPtr> Optimize(const PlanPtr& plan, AnalysisContext context,
                            PipelineReport* report = nullptr) const;

@@ -1,18 +1,10 @@
 #include "rewrite/rules.h"
 
 #include <algorithm>
-#include <set>
 
 namespace serena {
 
 namespace {
-
-/// Attribute names referenced by a selection formula.
-std::set<std::string> AttrsOf(const FormulaPtr& formula) {
-  std::set<std::string> attrs;
-  formula->CollectAttributes(&attrs);
-  return attrs;
-}
 
 bool ContainsAll(const std::vector<std::string>& haystack,
                  const std::vector<std::string>& needles) {
@@ -27,11 +19,10 @@ bool ContainsAll(const std::vector<std::string>& haystack,
 
 /// Shared engine for the selection-pushdown rules: splits the selection's
 /// formula into conjuncts, pushes those satisfying `can_push` below the
-/// child operator (rebuilt by `wrap`), and keeps the rest above. Returns
-/// nullptr when no conjunct is pushable.
-template <typename CanPush, typename Wrap>
-Result<PlanPtr> PushConjuncts(const SelectNode& select, const PlanPtr& inner,
-                              CanPush can_push, Wrap wrap) {
+/// unary child operator (rebuilt over them by `ReplaceChildren`), and
+/// keeps the rest above. Returns nullptr when no conjunct is pushable.
+template <typename CanPush>
+Result<PlanPtr> PushConjuncts(const SelectNode& select, CanPush can_push) {
   std::vector<FormulaPtr> pushable;
   std::vector<FormulaPtr> rest;
   for (const FormulaPtr& conjunct : SplitConjuncts(select.formula())) {
@@ -42,8 +33,11 @@ Result<PlanPtr> PushConjuncts(const SelectNode& select, const PlanPtr& inner,
     }
   }
   if (pushable.empty()) return PlanPtr(nullptr);
-  PlanPtr pushed = Select(inner, CombineConjuncts(pushable));
-  SERENA_ASSIGN_OR_RETURN(PlanPtr wrapped, wrap(std::move(pushed)));
+  const PlanPtr& child = select.child();
+  SERENA_ASSIGN_OR_RETURN(
+      PlanPtr wrapped,
+      ReplaceChildren(child, {Select(child->children()[0],
+                                     CombineConjuncts(pushable))}));
   if (rest.empty()) return wrapped;
   return Select(std::move(wrapped), CombineConjuncts(rest));
 }
@@ -97,22 +91,9 @@ class PushSelectionBelowAssignRule final : public RewriteRule {
     const auto* assign = static_cast<const AssignNode*>(select->child().get());
     // Table 5 side condition: the realized attribute must not occur in the
     // pushed conjunct.
-    return PushConjuncts(
-        *select, assign->child(),
-        [&](const FormulaPtr& conjunct) {
-          return AttrsOf(conjunct).count(assign->target()) == 0;
-        },
-        [&](PlanPtr pushed) -> Result<PlanPtr> {
-          if (assign->from_parameter()) {
-            return AssignParam(std::move(pushed), assign->target(),
-                               assign->parameter());
-          }
-          return assign->from_attribute()
-                     ? Assign(std::move(pushed), assign->target(),
-                              assign->source_attribute())
-                     : Assign(std::move(pushed), assign->target(),
-                              assign->constant());
-        });
+    return PushConjuncts(*select, [&](const FormulaPtr& conjunct) {
+      return !FormulaReferences(*conjunct, assign->target());
+    });
   }
 };
 
@@ -130,7 +111,7 @@ class PushSelectionBelowInvokeRule final : public RewriteRule {
     const auto* invoke = static_cast<const InvokeNode*>(select->child().get());
     if (ctx.env == nullptr) return PlanPtr(nullptr);
 
-    // Resolve the binding pattern to check activity and output attributes.
+    // Resolve the binding pattern to check its activity.
     auto child_schema = invoke->child()->InferSchema(*ctx.env, ctx.streams);
     if (!child_schema.ok()) return PlanPtr(nullptr);
     auto bp = invoke->ResolveBindingPattern(**child_schema);
@@ -140,25 +121,11 @@ class PushSelectionBelowInvokeRule final : public RewriteRule {
     // selection below the invocation would shrink the action set.
     if (bp->active()) return PlanPtr(nullptr);
 
-    return PushConjuncts(
-        *select, invoke->child(),
-        [&](const FormulaPtr& conjunct) {
-          const std::set<std::string> attrs = AttrsOf(conjunct);
-          // The conjunct must not use the invocation's outputs and must
-          // remain valid below (all referenced attributes already real).
-          for (const Attribute& out :
-               bp->prototype().output().attributes()) {
-            if (attrs.count(out.name) > 0) return false;
-          }
-          for (const std::string& attr : attrs) {
-            if (!(*child_schema)->IsReal(attr)) return false;
-          }
-          return true;
-        },
-        [&](PlanPtr pushed) -> Result<PlanPtr> {
-          return Invoke(std::move(pushed), invoke->prototype(),
-                        invoke->service_attribute());
-        });
+    // The conjunct must stay valid below. It then cannot read the
+    // invocation's outputs: they are virtual in any schema carrying ψ.
+    return PushConjuncts(*select, [&](const FormulaPtr& conjunct) {
+      return ReadsOnlyRealOf(*conjunct, **child_schema);
+    });
   }
 };
 
@@ -178,24 +145,14 @@ class PushSelectionBelowJoinRule final : public RewriteRule {
     auto right_schema = join->right()->InferSchema(*ctx.env, ctx.streams);
     if (!left_schema.ok() || !right_schema.ok()) return PlanPtr(nullptr);
 
-    auto covered_by = [](const ExtendedSchemaPtr& schema,
-                         const FormulaPtr& conjunct) {
-      std::set<std::string> attrs;
-      conjunct->CollectAttributes(&attrs);
-      for (const std::string& attr : attrs) {
-        if (!schema->IsReal(attr)) return false;
-      }
-      return true;
-    };
-
     // Partition conjuncts three ways: left side, right side, keep above.
     std::vector<FormulaPtr> into_left;
     std::vector<FormulaPtr> into_right;
     std::vector<FormulaPtr> rest;
     for (const FormulaPtr& conjunct : SplitConjuncts(select->formula())) {
-      if (covered_by(*left_schema, conjunct)) {
+      if (ReadsOnlyRealOf(*conjunct, **left_schema)) {
         into_left.push_back(conjunct);
-      } else if (covered_by(*right_schema, conjunct)) {
+      } else if (ReadsOnlyRealOf(*conjunct, **right_schema)) {
         into_right.push_back(conjunct);
       } else {
         rest.push_back(conjunct);
@@ -239,16 +196,8 @@ class PushProjectionBelowAssignRule final : public RewriteRule {
         !ContainsAll(kept, {assign->source_attribute()})) {
       return PlanPtr(nullptr);
     }
-    PlanPtr pushed = Project(assign->child(), kept);
-    if (assign->from_parameter()) {
-      return AssignParam(std::move(pushed), assign->target(),
-                         assign->parameter());
-    }
-    return assign->from_attribute()
-               ? Assign(std::move(pushed), assign->target(),
-                        assign->source_attribute())
-               : Assign(std::move(pushed), assign->target(),
-                        assign->constant());
+    return ReplaceChildren(project->child(),
+                           {Project(assign->child(), kept)});
   }
 };
 
@@ -285,8 +234,8 @@ class PushProjectionBelowInvokeRule final : public RewriteRule {
     if (!ContainsAll(kept, bp->prototype().output().Names())) {
       return PlanPtr(nullptr);
     }
-    return Invoke(Project(invoke->child(), kept), invoke->prototype(),
-                  invoke->service_attribute());
+    return ReplaceChildren(project->child(),
+                           {Project(invoke->child(), kept)});
   }
 };
 
@@ -373,22 +322,15 @@ class PushAssignBelowJoinRule final : public RewriteRule {
       }
       return true;
     };
-    auto rebuild = [&](PlanPtr child) -> PlanPtr {
-      if (assign->from_parameter()) {
-        return AssignParam(std::move(child), assign->target(),
-                           assign->parameter());
-      }
-      return assign->from_attribute()
-                 ? Assign(std::move(child), assign->target(),
-                          assign->source_attribute())
-                 : Assign(std::move(child), assign->target(),
-                          assign->constant());
-    };
     if (pushable_into(*left_schema, *right_schema)) {
-      return Join(rebuild(join->left()), join->right());
+      SERENA_ASSIGN_OR_RETURN(PlanPtr left,
+                              ReplaceChildren(plan, {join->left()}));
+      return Join(std::move(left), join->right());
     }
     if (pushable_into(*right_schema, *left_schema)) {
-      return Join(join->left(), rebuild(join->right()));
+      SERENA_ASSIGN_OR_RETURN(PlanPtr right,
+                              ReplaceChildren(plan, {join->right()}));
+      return Join(join->left(), std::move(right));
     }
     return PlanPtr(nullptr);
   }
@@ -430,8 +372,8 @@ class DeferInvokePastJoinRule final : public RewriteRule {
 
       PlanPtr joined = invoke_on_left ? Join(invoke->child(), other)
                                       : Join(other, invoke->child());
-      PlanPtr lifted = Invoke(std::move(joined), invoke->prototype(),
-                              invoke->service_attribute());
+      SERENA_ASSIGN_OR_RETURN(PlanPtr lifted,
+                              ReplaceChildren(side, {std::move(joined)}));
       // The pattern must still resolve unambiguously above the join (the
       // other side could contribute a second pattern for the same
       // prototype).

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "analysis/absint.h"
-#include "analysis/analyzer.h"
 #include "obs/metrics.h"
 
 namespace serena {
@@ -529,26 +528,12 @@ Result<SemanticRewriteResult> SemanticOptimize(const PlanPtr& plan,
     result.steps.clear();
     return result;
   }
+  result.plan = std::move(transformed);
+  return result;
+}
 
-  // Re-verification guard: the rewritten plan must produce the exact
-  // root schema and re-analyze without errors, else every step is
-  // discarded. This turns any hole in the needed-set analysis into a
-  // no-op instead of a wrong answer.
-  bool sound = false;
-  auto new_schema = transformed->InferSchema(env, streams);
-  if (new_schema.ok() && (*new_schema)->SameAttributes(**original_schema)) {
-    AnalyzerOptions reanalyze;
-    reanalyze.include_warnings = false;
-    auto diagnostics = AnalyzePlan(transformed, env, streams, reanalyze);
-    sound = diagnostics.ok() && IsValid(*diagnostics);
-  }
-  if (!sound) {
-    Count("serena.rewrite.semantic.reverted");
-    result.reverted = true;
-    return result;
-  }
-
-  for (const SemanticRewriteStep& step : result.steps) {
+void CountSemanticSteps(const std::vector<SemanticRewriteStep>& steps) {
+  for (const SemanticRewriteStep& step : steps) {
     if (step.rule == "drop-dead-invoke") {
       Count("serena.rewrite.semantic.dead_invokes");
     } else if (step.rule == "narrow-projection") {
@@ -561,8 +546,6 @@ Result<SemanticRewriteResult> SemanticOptimize(const PlanPtr& plan,
       Count("serena.rewrite.semantic.folded");
     }
   }
-  result.plan = std::move(transformed);
-  return result;
 }
 
 std::string RenderSemanticSteps(

@@ -25,9 +25,8 @@ struct SemanticRewriteStep {
 struct SemanticRewriteResult {
   PlanPtr plan;
   std::vector<SemanticRewriteStep> steps;
-  /// True when the guarded rewrite was discarded because the rewritten
-  /// plan failed re-verification (schema drift or analyzer errors) —
-  /// `plan` is then the original.
+  /// True when the rewrite was discarded because the needed-set rewriter
+  /// failed on a folded intermediate — `plan` is then the original.
   bool reverted = false;
 
   bool changed() const { return !steps.empty() && !reverted; }
@@ -72,11 +71,11 @@ struct SemanticRewriteResult {
 /// at-analysis-time facts for *diagnostics*, but rewrites stay restricted
 /// to forever-sound facts either way).
 ///
-/// Every rewrite is re-verified before being returned: the rewritten
-/// plan must infer the *identical* root schema and re-analyze without
-/// errors, else the original plan is returned with `reverted` set
-/// (metric `serena.rewrite.semantic.reverted`). Plans that already have
-/// analyzer errors are returned untouched — semantic facts are only
+/// The rewritten plan is not verified here: `optimizer::Pipeline` checks
+/// it with `optimizer::VerifyStage` (identical root schema, no analyzer
+/// errors) like every other stage, discards it on failure, and only then
+/// counts the kept steps (`CountSemanticSteps`). Plans whose schema does
+/// not infer are returned untouched — semantic facts are only
 /// trustworthy on well-formed plans.
 ///
 /// Caveat (documented in docs/REWRITES.md): dropping a dead invocation
@@ -86,14 +85,16 @@ struct SemanticRewriteResult {
 /// semantic-optimization assumption that verification facts describe
 /// the non-failing execution.
 ///
-/// Metrics: serena.rewrite.semantic.dead_invokes,
-/// serena.rewrite.semantic.narrowed_projections,
-/// serena.rewrite.semantic.identity_projections,
-/// serena.rewrite.semantic.folded (absint-driven steps),
-/// serena.rewrite.semantic.reverted.
+/// Metric: serena.rewrite.semantic.reverted (the rewriter failed).
 Result<SemanticRewriteResult> SemanticOptimize(
     const PlanPtr& plan, const Environment& env, const StreamStore* streams,
     AnalysisContext context = AnalysisContext::kNeutral);
+
+/// Counts kept steps per rule: serena.rewrite.semantic.dead_invokes,
+/// serena.rewrite.semantic.narrowed_projections,
+/// serena.rewrite.semantic.identity_projections and
+/// serena.rewrite.semantic.folded (absint-driven steps).
+void CountSemanticSteps(const std::vector<SemanticRewriteStep>& steps);
 
 /// Human rendering of the applied steps, one "rule @ node: proof" line
 /// each (empty string for no steps).

@@ -104,6 +104,18 @@ TEST(FormulaTest, CollectAttributesAndReferences) {
   EXPECT_EQ(attrs, (std::set<std::string>{"i", "s", "r"}));
   EXPECT_TRUE(FormulaReferences(*f, "s"));
   EXPECT_FALSE(FormulaReferences(*f, "b"));
+
+  // ReadsOnlyRealOf: every attribute read must be real; parameters and
+  // constants do not count (an unbound :param still places).
+  auto schema = Schema();
+  EXPECT_TRUE(ReadsOnlyRealOf(*f, *schema));
+  EXPECT_FALSE(ReadsOnlyRealOf(
+      *ParseFormula("i = 1 and v = 'x'").ValueOrDie(), *schema));
+  EXPECT_FALSE(ReadsOnlyRealOf(*ParseFormula("missing = 1").ValueOrDie(),
+                               *schema));
+  FormulaPtr parameterized = ParseFormula("i = :limit").ValueOrDie();
+  EXPECT_FALSE(parameterized->Validate(*schema).ok());
+  EXPECT_TRUE(ReadsOnlyRealOf(*parameterized, *schema));
 }
 
 TEST(FormulaTest, SplitAndCombineConjuncts) {

@@ -1,5 +1,6 @@
 // Tests for the unified optimizer::Pipeline facade: typed stage options
-// (--stages= parsing), stage gating,
+// (--stages= parsing), stage gating, the one Def. 9 guard every stage
+// passes (VerifyStage),
 // the cost-based join enumerator's reordering and schema preservation,
 // plan determinism under identical statistics snapshots, and the
 // fingerprint aliases that keep runtime statistics attached to
@@ -13,8 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analyzer.h"
 #include "env/scenario.h"
 #include "obs/stats.h"
+#include "rewrite/rewriter.h"
 
 namespace serena {
 namespace {
@@ -23,6 +26,7 @@ using optimizer::MakeStaticCostModel;
 using optimizer::OptimizerOptions;
 using optimizer::Pipeline;
 using optimizer::PipelineReport;
+using optimizer::VerifyStage;
 
 class OptimizerPipelineTest : public ::testing::Test {
  protected:
@@ -110,19 +114,74 @@ TEST_F(OptimizerPipelineTest, NoStagesIsIdentity) {
 }
 
 TEST_F(OptimizerPipelineTest, RulesOnlyRunsClassicRewriter) {
-  Pipeline pipeline(&env(), &streams(),
-                    OptimizerOptions::FromStages("rules").ValueOrDie());
-  PipelineReport report;
-  const PlanPtr optimized =
-      pipeline
-          .Optimize(scenario_->Q2Prime(), AnalysisContext::kNeutral, &report)
-          .ValueOrDie();
   // Q2' → Q2 is the classic Table 5 example: the rule stage pushes the
-  // area filter back under checkPhoto.
-  EXPECT_TRUE(report.rules_changed);
-  EXPECT_FALSE(report.cost_changed);
-  EXPECT_TRUE(report.semantic_steps.empty());
-  EXPECT_NE(optimized->ToString(), scenario_->Q2Prime()->ToString());
+  // area filter back under checkPhoto. The enumerator has no join region
+  // to restructure, so with every stage on the rules still decide it.
+  for (const char* stages : {"rules", "all"}) {
+    Pipeline pipeline(&env(), &streams(),
+                      OptimizerOptions::FromStages(stages).ValueOrDie());
+    PipelineReport report;
+    const PlanPtr optimized =
+        pipeline
+            .Optimize(scenario_->Q2Prime(), AnalysisContext::kNeutral,
+                      &report)
+            .ValueOrDie();
+    EXPECT_TRUE(report.rules_changed) << stages;
+    EXPECT_FALSE(report.rules_reverted) << stages;
+    EXPECT_FALSE(report.cost_changed) << stages;
+    EXPECT_TRUE(report.semantic_steps.empty()) << stages;
+    EXPECT_NE(optimized->ToString(), scenario_->Q2Prime()->ToString())
+        << stages;
+  }
+}
+
+TEST_F(OptimizerPipelineTest, RenderShowsARulesStageRevert) {
+  PipelineReport report;
+  report.stages = "rules";
+  report.rules_reverted = true;
+  EXPECT_FALSE(report.changed());
+  EXPECT_NE(report.Render().find("rule rewriter: reverted"),
+            std::string::npos);
+}
+
+// --- VerifyStage: the one Def. 9 guard -------------------------------------
+
+TEST_F(OptimizerPipelineTest, VerifyStageRejectsAReorderedRootSchema) {
+  const PlanPtr sensors = Scan(TemperatureScenario::kSensors);
+  const PlanPtr temperatures = Window(TemperatureScenario::kTemperatures, 4);
+  const PlanPtr plan = Join(sensors, temperatures);
+  const auto root = plan->InferSchema(env(), &streams()).ValueOrDie();
+  // ⋈ commutes, but its attribute order follows its operands: rendering
+  // depends on the order, so this is not the input's root schema.
+  const PlanPtr reordered = Join(temperatures, sensors);
+  const auto schema = reordered->InferSchema(env(), &streams()).ValueOrDie();
+  ASSERT_EQ(schema->size(), root->size());
+  EXPECT_FALSE(VerifyStage(reordered, *root, env(), &streams()));
+  EXPECT_TRUE(VerifyStage(plan, *root, env(), &streams()));
+}
+
+TEST_F(OptimizerPipelineTest, VerifyStageRejectsAnalyzerErrors) {
+  const PlanPtr plan = Scan(TemperatureScenario::kSensors);
+  const auto root = plan->InferSchema(env(), &streams()).ValueOrDie();
+  // σ reads `temperature`, which no β has realized yet.
+  const PlanPtr virtual_read =
+      Select(plan, Formula::Compare(Operand::Attr("temperature"),
+                                    CompareOp::kGt,
+                                    Operand::Const(Value::Real(20))));
+  const auto diagnostics =
+      AnalyzePlan(virtual_read, env(), &streams()).ValueOrDie();
+  ASSERT_FALSE(IsValid(diagnostics));
+  EXPECT_FALSE(VerifyStage(virtual_read, *root, env(), &streams()));
+}
+
+TEST_F(OptimizerPipelineTest, VerifyStageKeepsASoundRewrite) {
+  const PlanPtr plan = scenario_->Q2Prime();
+  const auto root = plan->InferSchema(env(), &streams()).ValueOrDie();
+  const PlanPtr rewritten =
+      Rewriter(&env(), &streams()).Optimize(plan).ValueOrDie();
+  ASSERT_NE(rewritten, plan);
+  EXPECT_TRUE(VerifyStage(rewritten, *root, env(), &streams()));
+  EXPECT_TRUE(VerifyStage(plan, *root, env(), &streams()));
 }
 
 TEST_F(OptimizerPipelineTest, NullPlanIsRejected) {

@@ -13,6 +13,7 @@
 #include "ddl/algebra_parser.h"
 #include "env/scenario.h"
 #include "obs/metrics.h"
+#include "optimizer/pipeline.h"
 
 namespace serena {
 namespace {
@@ -31,6 +32,16 @@ class SemanticRewriteTest : public ::testing::Test {
     return SemanticOptimize(Parse(algebra), scenario_->env(),
                             &scenario_->streams())
         .MoveValueOrDie();
+  }
+
+  /// The semantic stage as the optimizer runs it: `Pipeline` verifies the
+  /// rewrite and only then counts its steps.
+  void OptimizeInPipeline(const std::string& algebra) {
+    optimizer::Pipeline pipeline(
+        &scenario_->env(), &scenario_->streams(),
+        optimizer::OptimizerOptions::FromStages("semantic").ValueOrDie());
+    ASSERT_TRUE(pipeline.Optimize(Parse(algebra), AnalysisContext::kNeutral)
+                    .ok());
   }
 
   std::string Explain(const PlanPtr& plan) {
@@ -193,8 +204,8 @@ TEST_F(SemanticRewriteTest, RewriteCountersIncrement) {
   const std::uint64_t narrowed_before =
       metrics.GetCounter("serena.rewrite.semantic.narrowed_projections")
           .value();
-  (void)Optimize("project[area](invoke[checkPhoto](cameras))");
-  (void)Optimize(
+  OptimizeInPipeline("project[area](invoke[checkPhoto](cameras))");
+  OptimizeInPipeline(
       "project[location](project[location, temperature]"
       "(window[1](temperatures)))");
   EXPECT_EQ(
@@ -329,10 +340,10 @@ TEST_F(SemanticRewriteTest, FoldedCounterCountsAbsintRewrites) {
   metrics.set_enabled(true);
   const std::uint64_t before =
       metrics.GetCounter("serena.rewrite.semantic.folded").value();
-  (void)Optimize(
+  OptimizeInPipeline(
       "select[temperature < 3 and temperature > 5]"
       "(window[1](temperatures))");
-  (void)Optimize("select[1 < 2](contacts)");
+  OptimizeInPipeline("select[1 < 2](contacts)");
   EXPECT_EQ(metrics.GetCounter("serena.rewrite.semantic.folded").value(),
             before + 2);
 }
