@@ -207,6 +207,74 @@ void BM_Aggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_Aggregate)->Arg(100)->Arg(10000)->Arg(100000);
 
+/// γ over a keyed ⋈ with one hot key, the shape of the firehose
+/// workload's zone_stress query: `watts` (110 rows, all in area 'roof')
+/// joins `temps` (880 rows over 8 areas, 110 of them 'roof') into 12,100
+/// pairs, which one group counts and sums. Items are pairs.
+constexpr std::int64_t kHotKeyPairs = 110 * 110;
+
+XRelation HotKeyWatts() {
+  XRelation watts(ExtendedSchema::Create("watts", {{"area", DataType::kString},
+                                                   {"watts", DataType::kReal}})
+                      .ValueOrDie());
+  for (int i = 0; i < 110; ++i) {
+    (void)watts.InsertUnchecked(
+        Tuple{Value::String("roof"), Value::Real(0.5 * i + 0.25)});
+  }
+  return watts;
+}
+
+XRelation HotKeyTemps() {
+  static constexpr const char* kAreas[] = {"roof", "office", "lab",
+                                           "hall", "lobby",  "garage",
+                                           "attic", "kitchen"};
+  XRelation temps(ExtendedSchema::Create("temps", {{"area", DataType::kString},
+                                                   {"temp", DataType::kReal}})
+                      .ValueOrDie());
+  for (int i = 0; i < 880; ++i) {
+    (void)temps.InsertUnchecked(
+        Tuple{Value::String(kAreas[i % 8]), Value::Real(20.0 + 0.01 * i)});
+  }
+  return temps;
+}
+
+const std::vector<AggregateSpec>& HotKeyAggregates() {
+  static const std::vector<AggregateSpec> aggregates = {
+      {AggregateFn::kCount, "", "n"},
+      {AggregateFn::kSum, "watts", "total_watts"}};
+  return aggregates;
+}
+
+/// Through `Execute`: the vectorized core folds each pair into γ without
+/// merging it (under SERENA_VECTORIZE=off the scalar path runs instead).
+void BM_AggregateOverJoin(benchmark::State& state) {
+  auto scenario = TemperatureScenario::Build().MoveValueOrDie();
+  (void)scenario->env().PutRelation(HotKeyWatts());
+  (void)scenario->env().PutRelation(HotKeyTemps());
+  const PlanPtr plan = Aggregate(Join(Scan("watts"), Scan("temps")), {"area"},
+                                 HotKeyAggregates());
+  for (auto _ : state) {
+    auto result = Execute(plan, &scenario->env(), &scenario->streams(), 1);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * kHotKeyPairs);
+}
+BENCHMARK(BM_AggregateOverJoin);
+
+/// The scalar operators on the same data: the join materializes every
+/// merged pair, then γ folds the relation.
+void BM_AggregateOverJoinScalar(benchmark::State& state) {
+  const XRelation watts = HotKeyWatts();
+  const XRelation temps = HotKeyTemps();
+  for (auto _ : state) {
+    auto result = Aggregate(NaturalJoin(watts, temps).ValueOrDie(), {"area"},
+                            HotKeyAggregates());
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * kHotKeyPairs);
+}
+BENCHMARK(BM_AggregateOverJoinScalar);
+
 void BM_InvokeMemoized(benchmark::State& state) {
   TemperatureScenarioOptions options;
   options.extra_sensors = static_cast<int>(state.range(0));

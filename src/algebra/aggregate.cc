@@ -189,24 +189,6 @@ Result<Aggregator> Aggregator::Create(
   return aggregator;
 }
 
-void Aggregator::Add(const Tuple& row) {
-  const std::size_t width = fns_.size();
-  const auto [group, inserted] = groups_.FindOrInsert(
-      row.ProjectedHash(key_coords_), keys_.size(),
-      [this, &row](std::size_t position) {
-        return row.ProjectedEquals(key_coords_, keys_[position]);
-      });
-  if (inserted) {
-    keys_.push_back(row.Project(key_coords_));
-    cells_.resize(cells_.size() + width);
-  }
-  Cell* cells = &cells_[group * width];
-  for (std::size_t i = 0; i < width; ++i) {
-    cells[i].Add(fns_[i],
-                 input_coords_[i] == kNoInput ? nullptr : &row[input_coords_[i]]);
-  }
-}
-
 XRelation Aggregator::Finish() const {
   std::vector<std::size_t> order(keys_.size());
   std::iota(order.begin(), order.end(), 0);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/result.h"
 #include "xrel/flat_tuple_index.h"
 #include "xrel/xrelation.h"
@@ -48,10 +49,12 @@ Result<ExtendedSchemaPtr> AggregateSchema(
 /// The one implementation of γ, shared by both execution cores: a
 /// streaming fold over γ's input rows. The scalar `Aggregate` feeds it a
 /// materialized relation; the vectorized core drains the child pipeline's
-/// batches straight into it, so there γ's input is never materialized.
+/// batches straight into it, so there γ's input is never materialized —
+/// and over a keyed join it folds each matched pair without merging it
+/// (`GroupOf`/`Accumulate` read the pair's values in place).
 ///
 /// Groups are found through a `FlatTupleIndex` whose matcher compares the
-/// group-by coordinates of the row in place: one key tuple is built per
+/// group-by values of the row in place: one key tuple is built per
 /// group, none per row. Two rows share a group when their keys are equal
 /// as tuples (so `Int(2)` and `Real(2.0)` do, and a NaN key never equals
 /// another). Each group accumulates in input order, which fixes the
@@ -61,6 +64,9 @@ Result<ExtendedSchemaPtr> AggregateSchema(
 /// distinct — a relation's tuples, or a fused pipeline's output sequence.
 class Aggregator {
  public:
+  /// Input coordinate of an aggregate without one (`count()`).
+  static constexpr std::size_t kNoInput = static_cast<std::size_t>(-1);
+
   /// Resolves γ's output schema (`AggregateSchema`) and its key and input
   /// coordinates against the input schema.
   static Result<Aggregator> Create(
@@ -68,7 +74,33 @@ class Aggregator {
       const std::vector<AggregateSpec>& aggregates);
 
   /// Folds one input row.
-  void Add(const Tuple& row);
+  void Add(const Tuple& row) {
+    Accumulate(
+        GroupOf([this, &row](std::size_t i) -> const Value& {
+          return row[key_coords_[i]];
+        }),
+        [this, &row](std::size_t j) -> const Value& {
+          return row[input_coords_[j]];
+        });
+  }
+
+  /// The input-row coordinates of the group-by attributes, and of each
+  /// aggregate's input (kNoInput for `count()`): a caller folding rows it
+  /// never builds maps them once onto where the values live.
+  const std::vector<std::size_t>& key_coords() const { return key_coords_; }
+  const std::vector<std::size_t>& input_coords() const {
+    return input_coords_;
+  }
+
+  /// The group of an input row whose i-th group-by value is `key(i)`,
+  /// created — keyed by those values — if it is new.
+  template <typename KeyAt>
+  std::size_t GroupOf(const KeyAt& key);
+
+  /// Folds into `group` an input row whose j-th aggregate input is
+  /// `input(j)` (never asked for a `count()`).
+  template <typename InputAt>
+  void Accumulate(std::size_t group, const InputAt& input);
 
   /// The aggregated relation: one row per group, ordered by
   /// `Tuple::operator<` on the keys (NaN, which that order leaves
@@ -90,9 +122,6 @@ class Aggregator {
     Value Finish(AggregateFn fn) const;
   };
 
-  /// Input coordinate of an aggregate without one (`count()`).
-  static constexpr std::size_t kNoInput = static_cast<std::size_t>(-1);
-
   Aggregator() = default;
 
   ExtendedSchemaPtr schema_;
@@ -103,6 +132,40 @@ class Aggregator {
   std::vector<Cell> cells_;  // Groups × aggregates, row-major.
   FlatTupleIndex groups_;    // Key -> position in keys_.
 };
+
+template <typename KeyAt>
+std::size_t Aggregator::GroupOf(const KeyAt& key) {
+  const std::size_t width = key_coords_.size();
+  std::uint64_t hash = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    hash = HashCombine(hash, key(i).Hash());
+  }
+  const auto [group, inserted] = groups_.FindOrInsert(
+      hash, keys_.size(), [this, &key, width](std::size_t position) {
+        const Tuple& stored = keys_[position];
+        for (std::size_t i = 0; i < width; ++i) {
+          if (key(i) != stored[i]) return false;
+        }
+        return true;
+      });
+  if (inserted) {
+    std::vector<Value> values;
+    values.reserve(width);
+    for (std::size_t i = 0; i < width; ++i) values.push_back(key(i));
+    keys_.emplace_back(std::move(values));
+    cells_.resize(cells_.size() + fns_.size());
+  }
+  return group;
+}
+
+template <typename InputAt>
+void Aggregator::Accumulate(std::size_t group, const InputAt& input) {
+  const std::size_t width = fns_.size();
+  Cell* cells = &cells_[group * width];
+  for (std::size_t j = 0; j < width; ++j) {
+    cells[j].Add(fns_[j], input_coords_[j] == kNoInput ? nullptr : &input(j));
+  }
+}
 
 /// γ_{group_by; aggregates}(r): `r`'s tuples through an `Aggregator`.
 Result<XRelation> Aggregate(const XRelation& r,

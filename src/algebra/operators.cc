@@ -1,8 +1,9 @@
 #include "algebra/operators.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
+
+#include "algebra/join_table.h"
 
 namespace serena {
 
@@ -342,42 +343,25 @@ Result<XRelation> NaturalJoin(const XRelation& r1, const XRelation& r2) {
   }
 
   // Hash join on the common real attributes, building on the smaller
-  // side. Each build entry keeps its projected key, which a probe row
-  // compares against on its own key coordinates, so neither side
-  // re-projects a row per probe.
+  // side (`JoinBuildTable`, which the vectorized join cursor shares).
   const bool build_r1 = r1.size() < r2.size();
   const XRelation& build = build_r1 ? r1 : r2;
   const XRelation& probe = build_r1 ? r2 : r1;
-  const std::vector<std::size_t>& build_key =
-      build_r1 ? spec.key1 : spec.key2;
   const std::vector<std::size_t>& probe_key =
       build_r1 ? spec.key2 : spec.key1;
-
-  struct BuildEntry {
-    Tuple key;
-    const Tuple* tuple;
-  };
-  std::unordered_multimap<std::uint64_t, BuildEntry> built;
-  built.reserve(build.size());
-  for (const Tuple& t : build.tuples()) {
-    Tuple key = t.Project(build_key);
-    const std::uint64_t hash = key.Hash();
-    built.emplace(hash, BuildEntry{std::move(key), &t});
-  }
+  const JoinBuildTable table(build.tuples(), build_r1 ? spec.key1 : spec.key2);
+  if (table.empty()) return result;
   result.Reserve(probe.size());
   for (const Tuple& t : probe.tuples()) {
-    const auto [begin, end] = built.equal_range(t.ProjectedHash(probe_key));
-    for (auto it = begin; it != end; ++it) {
-      if (t.ProjectedEquals(probe_key, it->second.key)) {
-        // emit() takes (t1, t2) in operand order regardless of which side
-        // we built on.
-        if (build_r1) {
-          emit(*it->second.tuple, t);
-        } else {
-          emit(t, *it->second.tuple);
-        }
+    // emit() takes (t1, t2) in operand order regardless of which side we
+    // built on.
+    table.ForEachMatch(t, probe_key, [&](const Tuple& match) {
+      if (build_r1) {
+        emit(match, t);
+      } else {
+        emit(t, match);
       }
-    }
+    });
   }
   return result;
 }

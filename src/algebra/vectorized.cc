@@ -1,5 +1,6 @@
 #include "algebra/vectorized.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
@@ -7,11 +8,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "algebra/aggregate.h"
+#include "algebra/join_table.h"
 #include "algebra/plan.h"
 #include "algebra/tuple_batch.h"
 #include "common/string_util.h"
@@ -217,10 +218,11 @@ Result<XRelation> Collect(Cursor* cursor, EvalContext& ctx) {
 }
 
 /// Drains `cursor` into γ's aggregator: the pipeline's terminal when γ is
-/// its root. Rows are folded straight out of the batches, so γ's input is
-/// never copied, hashed into a relation or re-projected. That is sound
-/// only because the cursor emits a distinct sequence (a relation's
-/// tuples, in its order) — debug builds check it.
+/// its root (unless `cursor` is a keyed join, which folds its matched
+/// pairs itself — `JoinCursor::Fold`). Rows are folded straight out of
+/// the batches, so γ's input is never copied, hashed into a relation or
+/// re-projected. That is sound only because the cursor emits a distinct
+/// sequence (a relation's tuples, in its order) — debug builds check it.
 Result<XRelation> Fold(Cursor* cursor, Aggregator* aggregator,
                        EvalContext& ctx) {
 #ifndef NDEBUG
@@ -536,10 +538,14 @@ class AssignCursor final : public Cursor {
 };
 
 /// ⋈: materializes both sides on first pull (operand order, like the
-/// scalar node), builds the hash table once on the smaller side, then
-/// probes batch-by-batch. Build/probe roles, hash-table construction and
-/// probe order replicate the scalar NaturalJoin, so emission order — and
-/// therefore the output relation — is identical.
+/// scalar node), builds the shared `JoinBuildTable` once on the smaller
+/// side, then probes batch-by-batch. Build/probe roles and probe order
+/// replicate the scalar NaturalJoin, so emission order — and therefore
+/// the output relation — is identical.
+///
+/// Under a folding γ a keyed join is the pipeline's terminal itself
+/// (`Fold`): each matched pair goes straight into the aggregator, and no
+/// merged row or batch is built.
 class JoinCursor final : public Cursor {
  public:
   JoinCursor(const PlanNode* node, JoinSpec spec, Cursor* left, Cursor* right,
@@ -551,46 +557,100 @@ class JoinCursor final : public Cursor {
         out_(out),
         batch_size_(batch_size) {}
 
+  /// True unless the join degrades to a Cartesian product.
+  bool keyed() const { return !spec_.key1.empty(); }
+
+  /// γ's terminal over this keyed join: folds every matched pair into
+  /// `aggregator`, in the order `Next` would emit the merged rows. The
+  /// group-by and aggregate-input coordinates of the merged row are
+  /// mapped once through `JoinSpec::sources`; when every group-by value
+  /// can be read off the probe row (a probe attribute or a join key), the
+  /// group is looked up once per probe row, on its first match. A new
+  /// group's key takes each value from the side `Merge` would, so the
+  /// output bytes match the merged fold. Records the pair count as the
+  /// join's rows, as the scalar path does.
+  Result<XRelation> Fold(Aggregator* aggregator, EvalContext& ctx) {
+    started = true;
+    if (Status prepared = Prepare(ctx); !prepared.ok()) {
+      failed = true;
+      return prepared;
+    }
+    const auto map = [this](const std::vector<std::size_t>& coords) {
+      std::vector<JoinSpec::Source> sources;
+      sources.reserve(coords.size());
+      for (const std::size_t c : coords) {
+        sources.push_back(c == Aggregator::kNoInput ? JoinSpec::Source{}
+                                                    : spec_.sources[c]);
+      }
+      return sources;
+    };
+    const std::vector<JoinSpec::Source> keys = map(aggregator->key_coords());
+    const std::vector<JoinSpec::Source> inputs =
+        map(aggregator->input_coords());
+    bool group_per_probe_row = true;
+    for (const JoinSpec::Source& key : keys) {
+      const bool from_probe = key.from_r1 != build_r1_;
+      const bool join_key =
+          key.from_r1 && std::find(spec_.key1.begin(), spec_.key1.end(),
+                                   key.coord) != spec_.key1.end();
+      group_per_probe_row = group_per_probe_row && (from_probe || join_key);
+    }
+#ifndef NDEBUG
+    XRelation folded(schema);
+#endif
+    constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
+    std::uint64_t pairs = 0;
+    for (const Tuple& probe : probe_->tuples()) {
+      std::size_t group = kNoGroup;
+      table_->ForEachMatch(probe, *probe_key_, [&](const Tuple& match) {
+        const Tuple& t1 = build_r1_ ? match : probe;
+        const Tuple& t2 = build_r1_ ? probe : match;
+        const auto at = [&t1, &t2](const JoinSpec::Source& source)
+            -> const Value& {
+          return source.from_r1 ? t1[source.coord] : t2[source.coord];
+        };
+        if (group == kNoGroup || !group_per_probe_row) {
+          group = aggregator->GroupOf(
+              [&](std::size_t i) -> const Value& { return at(keys[i]); });
+        }
+        aggregator->Accumulate(group, [&](std::size_t j) -> const Value& {
+          return at(inputs[j]);
+        });
+#ifndef NDEBUG
+        const bool distinct = folded.InsertUnchecked(spec_.Merge(t1, t2));
+        assert(distinct && "a join emitted a duplicate pair");
+#endif
+        ++pairs;
+      });
+    }
+    rows_out += pairs;
+    return aggregator->Finish();
+  }
+
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     if (!prepared_) {
       SERENA_RETURN_NOT_OK(Prepare(ctx));
-      prepared_ = true;
+      out_->ReserveOwned(batch_size_);
     }
     out_->Clear();
-    if (spec_.key1.empty()) return Cartesian();
+    if (!keyed()) return Cartesian();
     return Probe();
   }
 
  private:
-  struct BuildEntry {
-    Tuple key;
-    const Tuple* tuple;
-  };
-
   Status Prepare(EvalContext& ctx) {
-    SERENA_ASSIGN_OR_RETURN(const XRelation* left_rel,
+    prepared_ = true;
+    SERENA_ASSIGN_OR_RETURN(left_rel_,
                             MaterializeSide(left_, &left_store_, ctx));
-    SERENA_ASSIGN_OR_RETURN(const XRelation* right_rel,
+    SERENA_ASSIGN_OR_RETURN(right_rel_,
                             MaterializeSide(right_, &right_store_, ctx));
-    left_rel_ = left_rel;
-    right_rel_ = right_rel;
-    if (spec_.key1.empty()) return Status::OK();
-
-    const bool build_r1 = left_rel_->size() < right_rel_->size();
-    build_r1_ = build_r1;
-    const XRelation& build = build_r1 ? *left_rel_ : *right_rel_;
-    probe_ = build_r1 ? right_rel_ : left_rel_;
-    probe_key_ = build_r1 ? &spec_.key2 : &spec_.key1;
-    const std::vector<std::size_t>& build_key =
-        build_r1 ? spec_.key1 : spec_.key2;
-    built_.reserve(build.size());
-    for (const Tuple& t : build.tuples()) {
-      Tuple key = t.Project(build_key);
-      const std::uint64_t hash = key.Hash();
-      built_.emplace(hash, BuildEntry{std::move(key), &t});
-    }
-    out_->ReserveOwned(batch_size_);
+    if (!keyed()) return Status::OK();
+    build_r1_ = left_rel_->size() < right_rel_->size();
+    probe_ = build_r1_ ? right_rel_ : left_rel_;
+    probe_key_ = build_r1_ ? &spec_.key2 : &spec_.key1;
+    table_.emplace(build_r1_ ? left_rel_->tuples() : right_rel_->tuples(),
+                   build_r1_ ? spec_.key1 : spec_.key2);
     return Status::OK();
   }
 
@@ -623,19 +683,15 @@ class JoinCursor final : public Cursor {
 
   Result<TupleBatch*> Probe() {
     const std::vector<Tuple>& tuples = probe_->tuples();
-    if (built_.empty()) probe_idx_ = tuples.size();
+    if (table_->empty()) probe_idx_ = tuples.size();
     while (probe_idx_ < tuples.size() && out_->size() < batch_size_) {
       // Finish every match of one probe row before checking the size cap,
       // so resuming only needs the probe index (batches may overshoot).
       const Tuple& t = tuples[probe_idx_++];
-      const auto [begin, end] =
-          built_.equal_range(t.ProjectedHash(*probe_key_));
-      for (auto it = begin; it != end; ++it) {
-        if (t.ProjectedEquals(*probe_key_, it->second.key)) {
-          out_->AppendOwned(build_r1_ ? spec_.Merge(*it->second.tuple, t)
-                                      : spec_.Merge(t, *it->second.tuple));
-        }
-      }
+      table_->ForEachMatch(t, *probe_key_, [this, &t](const Tuple& match) {
+        out_->AppendOwned(build_r1_ ? spec_.Merge(match, t)
+                                    : spec_.Merge(t, match));
+      });
     }
     if (out_->empty()) return {nullptr};
     return {out_};
@@ -654,7 +710,7 @@ class JoinCursor final : public Cursor {
   const XRelation* right_rel_ = nullptr;
 
   bool build_r1_ = false;
-  std::unordered_multimap<std::uint64_t, BuildEntry> built_;
+  std::optional<JoinBuildTable> table_;
   const XRelation* probe_ = nullptr;
   const std::vector<std::size_t>* probe_key_ = nullptr;
   std::size_t probe_idx_ = 0;
@@ -909,6 +965,18 @@ std::string FusedStages(const Pipeline& pipeline) {
   return stages;
 }
 
+/// Runs `pipeline`'s terminal: the collect, or γ's fold into
+/// `aggregator` — in place, pair by pair, when γ's child is a keyed join.
+Result<XRelation> RunTerminal(const Pipeline& pipeline,
+                              Aggregator* aggregator, EvalContext& ctx) {
+  if (aggregator == nullptr) return Collect(pipeline.root, ctx);
+  if (pipeline.root->node->kind() == PlanKind::kJoin) {
+    auto* join = static_cast<JoinCursor*>(pipeline.root);
+    if (join->keyed()) return join->Fold(aggregator, ctx);
+  }
+  return Fold(pipeline.root, aggregator, ctx);
+}
+
 }  // namespace
 
 std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
@@ -958,9 +1026,8 @@ std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
   const std::uint64_t start_ns =
       ctx.stats != nullptr ? obs::MonotonicNowNs() : 0;
 
-  Result<XRelation> result = aggregator.has_value()
-                                 ? Fold(pipeline.root, &*aggregator, ctx)
-                                 : Collect(pipeline.root, ctx);
+  Result<XRelation> result = RunTerminal(
+      pipeline, aggregator.has_value() ? &*aggregator : nullptr, ctx);
 
   if (ctx.stats != nullptr) {
     FlushStats(pipeline, node, *ctx.stats, obs::MonotonicNowNs() - start_ns);

@@ -73,11 +73,12 @@ std::uint64_t Tuple::ProjectedHash(
   return h;
 }
 
-bool Tuple::ProjectedEquals(const std::vector<std::size_t>& indices,
-                            const Tuple& key) const {
-  if (indices.size() != key.size()) return false;
+bool Tuple::ProjectedEquals(
+    const std::vector<std::size_t>& indices, const Tuple& other,
+    const std::vector<std::size_t>& other_indices) const {
+  if (indices.size() != other_indices.size()) return false;
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (values_[indices[i]] != key.values_[i]) return false;
+    if (values_[indices[i]] != other.values_[other_indices[i]]) return false;
   }
   return true;
 }

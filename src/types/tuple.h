@@ -51,12 +51,14 @@ class Tuple {
   /// Stable hash consistent with operator==.
   std::uint64_t Hash() const;
 
-  /// `Project(indices).Hash()` and `Project(indices) == key`, computed on
-  /// the coordinates in place: hash-keyed operators (⋈ probes, γ groups)
-  /// look a row up by its key without building a key tuple per row.
+  /// `Project(indices).Hash()` and
+  /// `Project(indices) == other.Project(other_indices)`, computed on the
+  /// coordinates in place: the join build table finds a row's key without
+  /// building a key tuple per row.
   std::uint64_t ProjectedHash(const std::vector<std::size_t>& indices) const;
   bool ProjectedEquals(const std::vector<std::size_t>& indices,
-                       const Tuple& key) const;
+                       const Tuple& other,
+                       const std::vector<std::size_t>& other_indices) const;
 
  private:
   std::vector<Value> values_;

@@ -78,6 +78,25 @@ class FlatTupleIndex {
     return {position, true};
   }
 
+  /// Calls `visit(p)` for the position `p` of every entry tagged like
+  /// `hash` that `matches(p)`, in probe order — for callers whose entries
+  /// are distinct by a finer equality than the one they probe with (the
+  /// join build table's keys, where `Int(2)` and `Real(2.0)` are two
+  /// entries that both equal a probe key `2`).
+  template <typename Matches, typename Visit>
+  void ForEachMatch(std::uint64_t hash, const Matches& matches,
+                    const Visit& visit) const {
+    if (slots_.empty()) return;
+    const std::uint32_t tag = Tag(hash);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = tag & mask; slots_[slot].position != kEmpty;
+         slot = (slot + 1) & mask) {
+      if (slots_[slot].tag == tag && matches(slots_[slot].position)) {
+        visit(slots_[slot].position);
+      }
+    }
+  }
+
   /// Removes the entry for the tuple equal to `tuple` and returns its
   /// position, or kNotFound when no such tuple is indexed.
   template <typename TupleAt>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "algebra/join_table.h"
 #include "env/prototypes.h"
 
 namespace serena {
@@ -323,6 +326,178 @@ TEST(JoinTest, IntJoinsWithRealByNumericEquality) {
   XRelation joined = NaturalJoin(r1, r2).ValueOrDie();
   EXPECT_EQ(joined.size(), 1u);
   EXPECT_EQ(joined.schema().FindAttribute("x")->type, DataType::kReal);
+}
+
+// ---------------------------------------------------------------------------
+// The join build table both cores share
+// ---------------------------------------------------------------------------
+
+/// The `tag` (coordinate 1) of every build row matching `probe` on
+/// coordinate 0, in visit order.
+std::vector<std::string> MatchTags(const JoinBuildTable& table,
+                                   const Tuple& probe) {
+  std::vector<std::string> tags;
+  table.ForEachMatch(probe, {0}, [&tags](const Tuple& row) {
+    tags.push_back(row[1].string_value());
+  });
+  return tags;
+}
+
+using Tags = std::vector<std::string>;
+
+TEST(OperatorsJoinTableTest, DuplicateKeysComeOutNewestFirst) {
+  const std::vector<Tuple> rows = {
+      {Value::Int(1), Value::String("a")}, {Value::Int(2), Value::String("b")},
+      {Value::Int(1), Value::String("c")}, {Value::Int(1), Value::String("d")},
+      {Value::Int(2), Value::String("e")}};
+  const std::vector<std::size_t> key = {0};
+  const JoinBuildTable table(rows, key);
+  EXPECT_EQ(MatchTags(table, {Value::Int(1)}), (Tags{"d", "c", "a"}));
+  EXPECT_EQ(MatchTags(table, {Value::Int(2)}), (Tags{"e", "b"}));
+  EXPECT_TRUE(MatchTags(table, {Value::Int(3)}).empty());
+
+  // Many keys on two coordinates, far past the index's first growth:
+  // every key still lists its rows newest first.
+  std::vector<Tuple> many;
+  for (int i = 0; i < 600; ++i) {
+    many.push_back({Value::Int(i % 37), Value::String(i % 2 ? "odd" : "even"),
+                    Value::Int(i)});
+  }
+  const std::vector<std::size_t> pair_key = {0, 1};
+  const JoinBuildTable wide(many, pair_key);
+  for (int k = 0; k < 37; ++k) {
+    for (const char* parity : {"odd", "even"}) {
+      std::vector<std::int64_t> seen;
+      wide.ForEachMatch({Value::String(parity), Value::Int(k)}, {1, 0},
+                        [&seen](const Tuple& row) {
+                          seen.push_back(row[2].int_value());
+                        });
+      std::vector<std::int64_t> expected;
+      for (int i = 599; i >= 0; --i) {
+        if (i % 37 == k && (i % 2 == 1) == (parity[0] == 'o')) {
+          expected.push_back(i);
+        }
+      }
+      EXPECT_EQ(seen, expected) << "key " << k << " " << parity;
+    }
+  }
+}
+
+TEST(OperatorsJoinTableTest, IntAndRealKeysMatchAcrossKinds) {
+  // A Real(2.0) build key matches an Int(2) probe and vice versa.
+  const std::vector<Tuple> reals = {{Value::Real(2.0), Value::String("r")}};
+  const std::vector<std::size_t> key = {0};
+  const JoinBuildTable real_table(reals, key);
+  EXPECT_EQ(MatchTags(real_table, {Value::Int(2)}), (Tags{"r"}));
+
+  // Int(2) and Real(2.0) build keys are separate runs; a probe equal to
+  // both gets their rows merged back into one newest-first sequence.
+  const std::vector<Tuple> mixed = {{Value::Int(2), Value::String("a")},
+                                    {Value::Real(2.0), Value::String("b")},
+                                    {Value::Int(2), Value::String("c")},
+                                    {Value::Real(-0.0), Value::String("d")},
+                                    {Value::Real(2.0), Value::String("e")},
+                                    {Value::Int(0), Value::String("f")}};
+  const JoinBuildTable table(mixed, key);
+  EXPECT_EQ(MatchTags(table, {Value::Int(2)}), (Tags{"e", "c", "b", "a"}));
+  EXPECT_EQ(MatchTags(table, {Value::Real(2.0)}), (Tags{"e", "c", "b", "a"}));
+  EXPECT_EQ(MatchTags(table, {Value::Real(0.0)}), (Tags{"f", "d"}));
+
+  // Past 2^53 equality is not transitive across kinds: Real(2^53) equals
+  // both Int(2^53) and Int(2^53 + 1), which differ. Every build row equal
+  // to the probe key still matches.
+  constexpr std::int64_t kBig = std::int64_t{1} << 53;
+  const std::vector<Tuple> big = {
+      {Value::Int(kBig), Value::String("a")},
+      {Value::Int(kBig + 1), Value::String("b")},
+      {Value::Real(static_cast<double>(kBig)), Value::String("c")}};
+  const JoinBuildTable big_table(big, key);
+  EXPECT_EQ(MatchTags(big_table, {Value::Int(kBig + 1)}), (Tags{"c", "b"}));
+  EXPECT_EQ(MatchTags(big_table, {Value::Int(kBig)}), (Tags{"c", "a"}));
+  EXPECT_EQ(MatchTags(big_table, {Value::Real(static_cast<double>(kBig))}),
+            (Tags{"c", "b", "a"}));
+
+  // Through NaturalJoin: the Real side is the build side (the smaller).
+  auto s1 = ExtendedSchema::Create("a", {{"x", DataType::kInt},
+                                         {"tag", DataType::kString}})
+                .ValueOrDie();
+  auto s2 = ExtendedSchema::Create("b", {{"x", DataType::kReal},
+                                         {"mark", DataType::kString}})
+                .ValueOrDie();
+  XRelation r1(s1);
+  r1.Insert(Tuple{Value::Int(2), Value::String("two")}).ValueOrDie();
+  r1.Insert(Tuple{Value::Int(3), Value::String("three")}).ValueOrDie();
+  XRelation r2(s2);
+  r2.Insert(Tuple{Value::Real(2.0), Value::String("deux")}).ValueOrDie();
+  const XRelation joined = NaturalJoin(r1, r2).ValueOrDie();
+  ASSERT_EQ(joined.size(), 1u);
+  // Side 1 supplies the shared attribute: the Int survives.
+  EXPECT_TRUE(joined.tuples()[0][0].is_int());
+}
+
+TEST(OperatorsJoinTableTest, NanKeysNeverMatch) {
+  const double nan = std::nan("");
+  const std::vector<Tuple> rows = {{Value::Real(nan), Value::String("a")},
+                                   {Value::Real(1.0), Value::String("b")},
+                                   {Value::Real(nan), Value::String("c")}};
+  const std::vector<std::size_t> key = {0};
+  const JoinBuildTable table(rows, key);
+  EXPECT_TRUE(MatchTags(table, {Value::Real(nan)}).empty());
+  EXPECT_EQ(MatchTags(table, {Value::Real(1.0)}), (Tags{"b"}));
+
+  auto schema = ExtendedSchema::Create("n", {{"k", DataType::kReal},
+                                             {"tag", DataType::kString}})
+                    .ValueOrDie();
+  auto other = ExtendedSchema::Create("m", {{"k", DataType::kReal},
+                                            {"mark", DataType::kString}})
+                   .ValueOrDie();
+  XRelation r1(schema);
+  for (const Tuple& row : rows) r1.Insert(row).ValueOrDie();
+  XRelation r2(other);
+  r2.Insert(Tuple{Value::Real(nan), Value::String("x")}).ValueOrDie();
+  r2.Insert(Tuple{Value::Real(1.0), Value::String("y")}).ValueOrDie();
+  const XRelation joined = NaturalJoin(r1, r2).ValueOrDie();
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined.tuples()[0][1], Value::String("b"));
+}
+
+TEST(OperatorsJoinTableTest, EmptyBuildSideMatchesNothing) {
+  const std::vector<Tuple> rows;
+  const std::vector<std::size_t> key = {0};
+  const JoinBuildTable table(rows, key);
+  EXPECT_TRUE(table.empty());
+  EXPECT_TRUE(MatchTags(table, {Value::Int(1)}).empty());
+
+  auto s1 = ExtendedSchema::Create("a", {{"x", DataType::kInt}}).ValueOrDie();
+  auto s2 = ExtendedSchema::Create("b", {{"x", DataType::kInt},
+                                         {"y", DataType::kString}})
+                .ValueOrDie();
+  XRelation r1(s1);
+  r1.Insert(Tuple{Value::Int(1)}).ValueOrDie();
+  const XRelation joined = NaturalJoin(r1, XRelation(s2)).ValueOrDie();
+  EXPECT_TRUE(joined.empty());
+  EXPECT_EQ(joined.schema().AllNames(),
+            (std::vector<std::string>{"x", "y"}));
+}
+
+TEST(OperatorsJoinTableTest, CartesianProductKeepsOperandOrder) {
+  // No shared attribute: no build table, every pair in r1-major order.
+  auto s1 = ExtendedSchema::Create("a", {{"x", DataType::kInt}}).ValueOrDie();
+  auto s2 =
+      ExtendedSchema::Create("b", {{"y", DataType::kString}}).ValueOrDie();
+  XRelation r1(s1);
+  r1.Insert(Tuple{Value::Int(1)}).ValueOrDie();
+  r1.Insert(Tuple{Value::Int(2)}).ValueOrDie();
+  XRelation r2(s2);
+  for (const char* y : {"p", "q", "r"}) {
+    r2.Insert(Tuple{Value::String(y)}).ValueOrDie();
+  }
+  const XRelation joined = NaturalJoin(r1, r2).ValueOrDie();
+  std::vector<std::string> rendered;
+  for (const Tuple& t : joined.tuples()) rendered.push_back(t.ToString());
+  EXPECT_EQ(rendered, (std::vector<std::string>{"(1, 'p')", "(1, 'q')",
+                                                "(1, 'r')", "(2, 'p')",
+                                                "(2, 'q')", "(2, 'r')"}));
 }
 
 }  // namespace

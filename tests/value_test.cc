@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "types/tuple.h"
 
@@ -123,16 +124,21 @@ TEST(TupleTest, ProjectedKeyHashesAndComparesInPlace) {
        std::vector<std::vector<std::size_t>>{
            {}, {0}, {1, 0}, {2}, {3, 1, 2, 0}, {1, 1}}) {
     const Tuple key = t.Project(coords);
+    std::vector<std::size_t> whole(key.size());
+    std::iota(whole.begin(), whole.end(), 0);
     EXPECT_EQ(t.ProjectedHash(coords), key.Hash());
-    EXPECT_TRUE(t.ProjectedEquals(coords, key));
+    EXPECT_TRUE(t.ProjectedEquals(coords, key, whole));
+    EXPECT_TRUE(key.ProjectedEquals(whole, t, coords));
   }
   // Equality is the tuples': numerically equal keys match, others don't.
-  EXPECT_TRUE(t.ProjectedEquals({0, 2}, Tuple{Value::Real(2.0),
-                                              Value::Int(0)}));
-  EXPECT_FALSE(t.ProjectedEquals({0}, Tuple{Value::Int(3)}));
-  EXPECT_FALSE(t.ProjectedEquals({0}, Tuple{Value::Int(2), Value::Int(0)}));
+  EXPECT_TRUE(t.ProjectedEquals(
+      {0, 2}, Tuple{Value::String("y"), Value::Real(2.0), Value::Int(0)},
+      {1, 2}));
+  EXPECT_FALSE(t.ProjectedEquals({0}, Tuple{Value::Int(3)}, {0}));
+  EXPECT_FALSE(
+      t.ProjectedEquals({0}, Tuple{Value::Int(2), Value::Int(0)}, {0, 1}));
   const Tuple nan{Value::Real(std::nan(""))};
-  EXPECT_FALSE(nan.ProjectedEquals({0}, nan));
+  EXPECT_FALSE(nan.ProjectedEquals({0}, nan, {0}));
 }
 
 TEST(DataTypeTest, Roundtrip) {

@@ -432,6 +432,65 @@ TEST_F(OperatorDifferentialTest, AggregateShapes) {
   for (const Tuple& row : rows) ASSERT_TRUE(mixed.Insert(row).ok());
   ASSERT_TRUE(scenario_->env().PutRelation(std::move(mixed)).ok());
 
+  // γ over ⋈, which folds the matched pairs in place. `kbuild` is the
+  // smaller operand, so it is the build side and side 1 of
+  // join(kbuild, kprobe): the shared key `k` takes its values, Int or
+  // Real, and NaN keys match nothing.
+  const auto put = [this](const std::string& name,
+                          std::vector<Attribute> attributes,
+                          const std::vector<Tuple>& tuples) {
+    XRelation relation(
+        ExtendedSchema::Create(name, std::move(attributes)).ValueOrDie());
+    for (const Tuple& t : tuples) ASSERT_TRUE(relation.Insert(t).ok());
+    ASSERT_TRUE(scenario_->env().PutRelation(std::move(relation)).ok());
+  };
+  put("kbuild", {{"k", DataType::kReal}, {"label", DataType::kString}},
+      {{Value::Int(2), Value::String("a")},
+       {Value::Real(2.0), Value::String("b")},
+       {Value::Int(2), Value::String("c")},
+       {Value::Real(nan), Value::String("d")},
+       {Value::Int(5), Value::String("e")}});
+  put("kprobe",
+      {{"k", DataType::kReal}, {"v", DataType::kInt}, {"w", DataType::kReal}},
+      {{Value::Real(2.0), Value::Int(1), Value::Real(0.1)},
+       {Value::Int(2), Value::Int(2), Value::Real(0.2)},
+       {Value::Real(nan), Value::Int(3), Value::Real(0.3)},
+       {Value::Real(5.0), Value::Int(4), Value::Real(0.4)},
+       {Value::Int(7), Value::Int(5), Value::Real(0.5)},
+       {Value::Real(2.0), Value::Int(6), Value::Real(0.6)}});
+  put("nowhere", {{"location", DataType::kString}, {"x", DataType::kInt}},
+      {});
+  put("hot_zones", {{"area", DataType::kString}}, {{Value::String("roof")}});
+  // zone_stress's streams: watts and temperatures per area.
+  for (const char* stream : {"tel_watts", "tel_temps"}) {
+    ASSERT_TRUE(scenario_->streams()
+                    .AddStream(ExtendedSchema::Create(
+                                   stream, {{"area", DataType::kString},
+                                            {stream == std::string("tel_watts")
+                                                 ? "watts"
+                                                 : "temp",
+                                             DataType::kReal}})
+                                   .ValueOrDie())
+                    .ok());
+  }
+  const char* areas[] = {"roof", "lab", "hall"};
+  for (Timestamp t = 1; t <= 4; ++t) {
+    for (int k = 0; k < 6; ++k) {
+      ASSERT_TRUE(scenario_->streams()
+                      .GetStream("tel_watts")
+                      .ValueOrDie()
+                      ->Append(t, Tuple{Value::String(areas[(t + k) % 3]),
+                                        Value::Real(0.1 * (7 * t + k) + 0.01)})
+                      .ok());
+      ASSERT_TRUE(scenario_->streams()
+                      .GetStream("tel_temps")
+                      .ValueOrDie()
+                      ->Append(t, Tuple{Value::String(areas[(2 * t + k) % 3]),
+                                        Value::Real(20.0 + 0.3 * k + t)})
+                      .ok());
+    }
+  }
+
   PlanPtr window = Window("temperatures", 3);
   const auto warm = Formula::Compare(Operand::Attr("temperature"),
                                      CompareOp::kGt,
@@ -481,6 +540,47 @@ TEST_F(OperatorDifferentialTest, AggregateShapes) {
       Select(Aggregate(window, {"location"}, stats),
              Formula::Compare(Operand::Attr("n"), CompareOp::kGt,
                               Operand::Const(Value::Int(0)))),
+      // γ over a keyed ⋈, group-by from the probe side (the window):
+      // a probe attribute, then the join key.
+      Aggregate(Join(window, Scan("surveillance")), {"temperature"},
+                {{AggregateFn::kCount, "", "n"},
+                 {AggregateFn::kMin, "name", "first"}}),
+      Aggregate(Join(window, Scan("surveillance")), {"location"},
+                {{AggregateFn::kSum, "temperature", "total"},
+                 {AggregateFn::kMax, "name", "last"}}),
+      // Group-by from the build side (kbuild's label).
+      Aggregate(Join(Scan("kbuild"), Scan("kprobe")), {"label"},
+                {{AggregateFn::kCount, "", "n"},
+                 {AggregateFn::kSum, "w", "s"}}),
+      // Group-by on the join key, mixed Int/Real with side 1 the build
+      // side; then the key with a build attribute.
+      Aggregate(Join(Scan("kbuild"), Scan("kprobe")), {"k"},
+                {{AggregateFn::kCount, "", "n"},
+                 {AggregateFn::kSum, "v", "s"},
+                 {AggregateFn::kAvg, "w", "m"},
+                 {AggregateFn::kMin, "label", "first"},
+                 {AggregateFn::kMax, "label", "last"}}),
+      Aggregate(Join(Scan("kbuild"), Scan("kprobe")), {"k", "label"},
+                {{AggregateFn::kSum, "w", "s"}}),
+      // zone_stress's 3-way shape, in its naive and its reordered form.
+      Aggregate(Join(Join(Window("tel_watts", 4), Window("tel_temps", 4)),
+                     Scan("hot_zones")),
+                {"area"},
+                {{AggregateFn::kCount, "", "n"},
+                 {AggregateFn::kSum, "watts", "total_watts"}}),
+      Aggregate(Join(Join(Window("tel_watts", 4), Scan("hot_zones")),
+                     Window("tel_temps", 4)),
+                {"area"},
+                {{AggregateFn::kCount, "", "n"},
+                 {AggregateFn::kSum, "watts", "total_watts"}}),
+      // An empty build side, grouped and ungrouped.
+      Aggregate(Join(window, Scan("nowhere")), {"location"}, stats),
+      Aggregate(Join(window, Scan("nowhere")), {},
+                {{AggregateFn::kCount, "", "n"}}),
+      // γ over a Cartesian ⋈ (no shared attribute) drains batches.
+      Aggregate(Join(Scan("kbuild"), Scan("surveillance")), {"name"},
+                {{AggregateFn::kCount, "", "n"},
+                 {AggregateFn::kSum, "k", "s"}}),
   };
 
   Environment* env = &scenario_->env();
@@ -519,6 +619,19 @@ TEST_F(OperatorDifferentialTest, AggregateShapes) {
   EXPECT_EQ(out[3][4], Value::String("c"));
   EXPECT_TRUE(std::isnan(out[4][0].real_value()));
   EXPECT_EQ(out[4][4], Value::String("d"));
+
+  // The join-key group keeps the build side's first matched value, as
+  // `Merge` would: kprobe's first k = 2 row matches c (Int), b, a.
+  auto keyed = Execute(plans[14], env, streams, 4);
+  ASSERT_TRUE(keyed.ok()) << keyed.status().ToString();
+  const std::vector<Tuple>& groups = keyed->relation.tuples();
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_TRUE(groups[0][0].is_int());
+  EXPECT_EQ(groups[0][0], Value::Int(2));
+  EXPECT_EQ(groups[0][1], Value::Int(9));   // 3 probe × 3 build rows.
+  EXPECT_EQ(groups[0][2], Value::Int(27));  // 3 × (1 + 2 + 6).
+  EXPECT_EQ(groups[1][0], Value::Int(5));
+  EXPECT_EQ(groups[1][1], Value::Int(1));
 }
 
 // ---------------------------------------------------------------------------

@@ -307,6 +307,75 @@ TEST_F(VectorizedPipelineTest, AggregateFoldsItsChildPipeline) {
   metrics.set_enabled(was_enabled);
 }
 
+/// The " rows=N" counts of an EXPLAIN ANALYZE rendering, one per node.
+std::vector<std::string> AnalyzedRowCounts(const std::string& rendered) {
+  std::vector<std::string> counts;
+  for (std::size_t at = rendered.find(" rows="); at != std::string::npos;
+       at = rendered.find(" rows=", at + 1)) {
+    counts.push_back(rendered.substr(at, rendered.find(' ', at + 1) - at));
+  }
+  return counts;
+}
+
+TEST_F(VectorizedPipelineTest, AggregateFoldsAKeyedJoinInPlace) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const bool was_enabled = metrics.enabled();
+  metrics.set_enabled(true);
+
+  PlanPtr join = Join(Window("temperatures", 3), Scan("surveillance"));
+  PlanPtr plan = Aggregate(join, {"location"},
+                           {{AggregateFn::kCount, "", "n"},
+                            {AggregateFn::kMax, "name", "last"}});
+  ExplainAnalyzeOptions options;
+  options.instant = 3;
+  std::size_t pairs = 0;
+  std::string scalar_analyzed;
+  {
+    VecModeGuard scalar(false);
+    auto joined = Execute(join, &scenario_->env(), &scenario_->streams(), 3);
+    ASSERT_TRUE(joined.ok());
+    pairs = joined->relation.size();
+    scalar_analyzed = ExplainAnalyzePlan(plan, &scenario_->env(),
+                                         &scenario_->streams(), options);
+  }
+  ASSERT_GT(pairs, 0u);
+
+  VecModeGuard guard(true);
+  obs::TraceBuffer& trace = obs::TraceBuffer::Global();
+  trace.Clear();
+  trace.set_enabled(true);
+  const std::uint64_t rows_before =
+      metrics.GetCounter("serena.vectorize.rows").value();
+  const std::uint64_t batches_before =
+      metrics.GetCounter("serena.vectorize.batches").value();
+  auto result = Execute(plan, &scenario_->env(), &scenario_->streams(), 3);
+  trace.set_enabled(false);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->relation.empty());
+
+  // The join folded its pairs without filling a batch, and still counts
+  // each pair as a row, as if it had merged it.
+  EXPECT_EQ(metrics.GetCounter("serena.vectorize.rows").value(),
+            rows_before + pairs);
+  EXPECT_EQ(metrics.GetCounter("serena.vectorize.batches").value(),
+            batches_before);
+  const std::vector<obs::SpanRecord> spans = trace.Snapshot();
+  const auto pipeline = std::find_if(
+      spans.begin(), spans.end(), [](const obs::SpanRecord& span) {
+        return span.name == "vec.pipeline";
+      });
+  ASSERT_NE(pipeline, spans.end());
+  EXPECT_EQ(pipeline->detail, "window,scan,join,aggregate");
+  // EXPLAIN ANALYZE shows the scalar path's rows on every node.
+  EXPECT_EQ(AnalyzedRowCounts(ExplainAnalyzePlan(
+                plan, &scenario_->env(), &scenario_->streams(), options)),
+            AnalyzedRowCounts(scalar_analyzed));
+  EXPECT_EQ(AnalyzedRowCounts(scalar_analyzed).size(), 4u);
+
+  trace.Clear();
+  metrics.set_enabled(was_enabled);
+}
+
 TEST_F(VectorizedPipelineTest, SmallBatchSizesStreamTheSameResult) {
   VecModeGuard guard(true);
   PlanPtr plan = Project(

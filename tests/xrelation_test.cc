@@ -392,7 +392,7 @@ TEST(FlatTupleIndexTest, FindOrInsertMatchesKeysInPlace) {
   const auto group_of = [&](const Tuple& row) {
     const auto [position, inserted] = index.FindOrInsert(
         row.ProjectedHash(key), groups.size(), [&](std::size_t p) {
-          return row.ProjectedEquals(key, groups[p]);
+          return row.ProjectedEquals(key, groups[p], {0});
         });
     if (inserted) groups.push_back(row.Project(key));
     return position;
