@@ -148,7 +148,7 @@ std::string StatsStoreAnnotation(const PlanNode& node,
 
 void ExplainNode(const PlanPtr& plan, const Environment& env,
                  const StreamStore* streams, const ExplainOptions& options,
-                 const PlanStatsCollector* analyze, int depth,
+                 const PlanStats* analyze, int depth,
                  std::string* out) {
   out->append(static_cast<std::size_t>(depth) * 2, ' ');
   out->append(NodeLabel(*plan));
@@ -207,7 +207,7 @@ std::string ExplainPlan(const PlanPtr& plan, const Environment& env,
 
 std::string RenderPlanWithStats(const PlanPtr& plan, const Environment& env,
                                 const StreamStore* streams,
-                                const PlanStatsCollector& stats,
+                                const PlanStats& stats,
                                 const ExplainOptions& options) {
   if (plan == nullptr) return "(null plan)\n";
   std::string out;
@@ -221,7 +221,7 @@ std::string ExplainAnalyzePlan(const PlanPtr& plan, Environment* env,
   if (plan == nullptr) return "(null plan)\n";
   if (env == nullptr) return "(no environment)\n";
 
-  PlanStatsCollector collector;
+  PlanStats record(*plan);
   ActionSet actions;
   EvalContext ctx;
   ctx.env = env;
@@ -229,17 +229,16 @@ std::string ExplainAnalyzePlan(const PlanPtr& plan, Environment* env,
   ctx.instant = options.instant.value_or(env->clock().now());
   ctx.actions = &actions;
   ctx.error_policy = options.error_policy;
-  ctx.stats = &collector;
+  ctx.stats = &record;
   const Result<XRelation> result = plan->Evaluate(ctx);
   // EXPLAIN ANALYZE is an explicit observation: its actuals always feed
   // the runtime statistics store. Flushed before rendering so the
   // "observed:" clause includes this very evaluation; "last run:" reads
   // the baseline map and cannot self-contaminate.
-  obs::StatsStore::Global().RecordPlan(obs::FingerprintPlan(*plan),
-                                       collector);
+  obs::StatsStore::Global().RecordPlan(record);
 
   std::string out =
-      RenderPlanWithStats(plan, *env, streams, collector, options.explain);
+      RenderPlanWithStats(plan, *env, streams, record, options.explain);
   out += StringFormat("instant: %lld; actions: %zu\n",
                       static_cast<long long>(ctx.instant), actions.size());
   if (!result.ok()) {

@@ -68,12 +68,12 @@ std::string ExplainAnalyzePlan(const PlanPtr& plan, Environment* env,
                                StreamStore* streams,
                                const ExplainAnalyzeOptions& options = {});
 
-/// Renders an already-collected stats set against a plan — the building
+/// Renders already-collected statistics against a plan — the building
 /// block `ExplainAnalyzePlan` uses, exposed for callers that evaluate with
-/// their own `EvalContext::stats` collector.
+/// their own `EvalContext::stats` record (built for `plan`).
 std::string RenderPlanWithStats(const PlanPtr& plan, const Environment& env,
                                 const StreamStore* streams,
-                                const PlanStatsCollector& stats,
+                                const PlanStats& stats,
                                 const ExplainOptions& options = {});
 
 }  // namespace serena

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "algebra/vectorized.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
@@ -29,26 +30,110 @@ Result<XRelation> PlanNode::Evaluate(EvalContext& ctx) const {
   if (obs::TraceBuffer::Global().enabled()) {
     span.emplace(std::string("op.") + PlanKindToString(kind()), ctx.instant);
   }
-  // Per-node actuals are the only per-evaluation record; the per-kind
-  // `serena.op.*` counters are fed from them by `StatsStore::RecordPlan`.
-  if (ctx.stats == nullptr) return EvaluateDispatch(ctx);
+  // Per-node actuals are the only per-evaluation record; the store and
+  // the per-kind `serena.op.*` counters are fed from them.
+  NodeRuntimeStats* stats =
+      ctx.stats != nullptr ? ctx.stats->Find(this) : nullptr;
+  if (stats == nullptr) return EvaluateDispatch(ctx);
 
   const InvocationTally before = ctx.invocations;
-  const std::uint64_t start_ns = obs::MonotonicNowNs();
+  const bool timed = ctx.stats->timed();
+  const std::uint64_t start_ns = timed ? obs::MonotonicNowNs() : 0;
   Result<XRelation> result = EvaluateDispatch(ctx);
-  const std::uint64_t elapsed_ns = obs::MonotonicNowNs() - start_ns;
-  const std::uint64_t rows =
-      result.ok() ? static_cast<std::uint64_t>(result->size()) : 0;
-
-  NodeRuntimeStats& stats = ctx.stats->StatsFor(this);
-  ++stats.evals;
-  stats.rows_out += rows;
-  stats.wall_ns += elapsed_ns;
-  stats.invocations +=
+  if (timed) stats->wall_ns += obs::MonotonicNowNs() - start_ns;
+  ++stats->evals;
+  if (result.ok()) {
+    stats->rows_out += static_cast<std::uint64_t>(result->size());
+  } else {
+    ++stats->errors;
+  }
+  stats->invocations +=
       ctx.invocations.logical_invocations - before.logical_invocations;
-  stats.memo_hits += ctx.invocations.memo_hits - before.memo_hits;
-  if (!result.ok()) ++stats.errors;
+  stats->memo_hits += ctx.invocations.memo_hits - before.memo_hits;
   return result;
+}
+
+std::uint64_t PlanNode::StableFingerprint() const {
+  if (fingerprint_known_.load(std::memory_order_acquire)) {
+    return fingerprint_.load(std::memory_order_relaxed);
+  }
+  // Kind is prefixed separately: two operators could in principle render
+  // identically while differing in kind, and the prefix keeps the
+  // fingerprint honest if a ToString ever becomes ambiguous.
+  std::string key = PlanKindToString(kind());
+  key.push_back('|');
+  key += ToString();
+  const std::uint64_t hash = StableHash(key);
+  fingerprint_.store(hash, std::memory_order_relaxed);
+  fingerprint_known_.store(true, std::memory_order_release);
+  return hash;
+}
+
+PlanStats::PlanStats(const PlanNode& root) {
+  // Iterative DFS; a shared subtree gets one ordinal. Ordinals are the
+  // visit order, so children are resolved once every node is numbered.
+  std::vector<const PlanNode*> pending = {&root};
+  while (!pending.empty()) {
+    const PlanNode* node = pending.back();
+    pending.pop_back();
+    if (Ordinal(node) != kNoOrdinal) continue;
+    const auto ordinal = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Node{node, 0, 0});
+    by_address_.insert(std::upper_bound(by_address_.begin(),
+                                        by_address_.end(),
+                                        std::pair(node, ordinal)),
+                       std::pair(node, ordinal));
+    for (const PlanPtr& child : node->children()) {
+      pending.push_back(child.get());
+    }
+  }
+  for (Node& entry : nodes_) {
+    entry.first_child = static_cast<std::uint32_t>(child_ordinals_.size());
+    for (const PlanPtr& child : entry.node->children()) {
+      child_ordinals_.push_back(Ordinal(child.get()));
+    }
+    entry.child_count =
+        static_cast<std::uint32_t>(child_ordinals_.size()) - entry.first_child;
+  }
+  stats_.resize(nodes_.size());
+}
+
+std::uint32_t PlanStats::Ordinal(const PlanNode* node) const {
+  const auto it = std::lower_bound(
+      by_address_.begin(), by_address_.end(), node,
+      [](const auto& entry, const PlanNode* key) { return entry.first < key; });
+  return it == by_address_.end() || it->first != node ? kNoOrdinal
+                                                      : it->second;
+}
+
+const NodeRuntimeStats* PlanStats::Find(const PlanNode* node) const {
+  const std::uint32_t ordinal = Ordinal(node);
+  return ordinal == kNoOrdinal ? nullptr : &stats_[ordinal];
+}
+
+NodeRuntimeStats* PlanStats::Find(const PlanNode* node) {
+  return const_cast<NodeRuntimeStats*>(std::as_const(*this).Find(node));
+}
+
+std::uint64_t PlanStats::RowsIn(std::size_t ordinal) const {
+  const Node& entry = nodes_[ordinal];
+  std::uint64_t rows = 0;
+  for (std::uint32_t i = 0; i < entry.child_count; ++i) {
+    rows += stats_[child_ordinals_[entry.first_child + i]].rows_out;
+  }
+  return rows;
+}
+
+std::uint64_t PlanStats::LeafRowsOut() const {
+  std::uint64_t rows = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].child_count == 0) rows += stats_[i].rows_out;
+  }
+  return rows;
+}
+
+void PlanStats::Reset() {
+  std::fill(stats_.begin(), stats_.end(), NodeRuntimeStats{});
 }
 
 const char* PlanKindToString(PlanKind kind) {
@@ -622,17 +707,14 @@ Result<QueryResult> Execute(const PlanPtr& plan, Environment* env,
   ctx.instant = instant.value_or(env->clock().now());
   ctx.actions = &actions;
   // With metrics on, one-shot queries feed the runtime statistics store:
-  // a scratch collector gathers this evaluation's per-node actuals and
+  // a scratch record gathers this evaluation's per-node actuals and
   // flushes them (even on failure — error counts matter) keyed by the
   // operators' stable fingerprints.
-  PlanStatsCollector scratch;
-  const bool record_stats =
-      ctx.stats == nullptr && obs::MetricsRegistry::Global().enabled();
+  const bool record_stats = obs::MetricsRegistry::Global().enabled();
+  PlanStats scratch = record_stats ? PlanStats(*plan) : PlanStats();
   if (record_stats) ctx.stats = &scratch;
   Result<XRelation> relation = plan->Evaluate(ctx);
-  if (record_stats) {
-    obs::StatsStore::Global().RecordPlan(obs::FingerprintPlan(*plan), scratch);
-  }
+  if (record_stats) obs::StatsStore::Global().RecordPlan(scratch);
   if (!relation.ok()) return relation.status();
   return QueryResult{std::move(*relation), std::move(actions)};
 }

@@ -1,10 +1,12 @@
 #ifndef SERENA_ALGEBRA_PLAN_H_
 #define SERENA_ALGEBRA_PLAN_H_
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "algebra/action.h"
@@ -95,19 +97,69 @@ struct NodeRuntimeStats {
   std::uint64_t batches = 0;
 };
 
-/// Collects per-node runtime statistics during evaluation — the substrate
-/// of EXPLAIN ANALYZE. Keyed by node identity, so a collector must only
-/// ever be used with one plan instance (same contract as NodeStateStore).
-class PlanStatsCollector {
+/// Per-node runtime statistics of one plan instance — the substrate of
+/// EXPLAIN ANALYZE and of every standing query's runtime record. One
+/// `NodeRuntimeStats` per distinct node, in a flat array indexed by the
+/// node's *ordinal*: its position in a depth-first walk from the root
+/// that visits a shared subtree once. The statistics store resolves its
+/// records by the same ordinals. The shape is built once per plan;
+/// recording an evaluation
+/// resolves a node to its ordinal by binary search over the plan's node
+/// addresses, so it allocates nothing and takes no lock.
+class PlanStats {
  public:
-  NodeRuntimeStats& StatsFor(const PlanNode* node) { return stats_[node]; }
-  const NodeRuntimeStats* Find(const PlanNode* node) const {
-    const auto it = stats_.find(node);
-    return it == stats_.end() ? nullptr : &it->second;
+  /// A plan with no nodes: records nothing.
+  PlanStats() = default;
+  explicit PlanStats(const PlanNode& root);
+
+  /// Number of distinct nodes.
+  std::size_t size() const { return nodes_.size(); }
+  const PlanNode* node(std::size_t ordinal) const {
+    return nodes_[ordinal].node;
   }
 
+  NodeRuntimeStats& at(std::size_t ordinal) { return stats_[ordinal]; }
+  const NodeRuntimeStats& at(std::size_t ordinal) const {
+    return stats_[ordinal];
+  }
+  /// The statistics of `node`, or nullptr when it is not part of the plan.
+  NodeRuntimeStats* Find(const PlanNode* node);
+  const NodeRuntimeStats* Find(const PlanNode* node) const;
+
+  /// Tuples that entered node `ordinal`: its children's outputs summed,
+  /// a child reached through two operands twice (0 for leaves).
+  std::uint64_t RowsIn(std::size_t ordinal) const;
+  /// Tuples the plan's leaves emitted, each distinct leaf read once.
+  std::uint64_t LeafRowsOut() const;
+
+  /// Whether evaluations read the clock for `wall_ns` (default true).
+  /// Evals, rows and invocation counts are kept either way.
+  bool timed() const { return timed_; }
+  void set_timed(bool timed) { timed_ = timed; }
+
+  /// Zeroes every node's statistics; the shape stays.
+  void Reset();
+
  private:
-  std::unordered_map<const PlanNode*, NodeRuntimeStats> stats_;
+  struct Node {
+    const PlanNode* node;
+    /// The node's children's ordinals are
+    /// `child_ordinals_[first_child, first_child + child_count)`, in
+    /// operand order.
+    std::uint32_t first_child;
+    std::uint32_t child_count;
+  };
+  static constexpr std::uint32_t kNoOrdinal = static_cast<std::uint32_t>(-1);
+
+  /// `node`'s ordinal, or kNoOrdinal.
+  std::uint32_t Ordinal(const PlanNode* node) const;
+
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> child_ordinals_;
+  /// (node address, ordinal), sorted by address.
+  std::vector<std::pair<const PlanNode*, std::uint32_t>> by_address_;
+  std::vector<NodeRuntimeStats> stats_;
+  bool timed_ = true;
 };
 
 /// Everything a plan needs to evaluate at one instant τ.
@@ -125,10 +177,12 @@ struct EvalContext {
   InvocationErrorPolicy error_policy = InvocationErrorPolicy::kFail;
   /// Optional: enables continuous (delta-aware) semantics.
   NodeStateStore* state = nullptr;
-  /// Optional: per-node actual rows/time/invocations land here (EXPLAIN
-  /// ANALYZE, and through `StatsStore::RecordPlan` the `serena.op.*`
-  /// counters). Timing is only paid when set.
-  PlanStatsCollector* stats = nullptr;
+  /// Optional: per-node actual rows/time/invocations of the evaluated
+  /// plan land here (EXPLAIN ANALYZE, a standing query's runtime record,
+  /// and through the statistics store the `serena.op.*` counters). Nodes
+  /// outside the plan it was built for are not recorded. Timing is only
+  /// paid when set and `timed()`.
+  PlanStats* stats = nullptr;
   /// Pool used by Invoke nodes for concurrent physical service calls
   /// (nullptr = `ThreadPool::Shared()`). Evaluation results are
   /// deterministic regardless of the pool.
@@ -168,10 +222,10 @@ class PlanNode {
       const Environment& env, const StreamStore* streams) const = 0;
 
   /// Evaluates the subtree at ctx.instant. Non-virtual: wraps the
-  /// per-kind `EvaluateImpl` with instrumentation — per-operator global
-  /// metrics (rows out, wall time) and, when `ctx.stats` is set, per-node
-  /// actuals for EXPLAIN ANALYZE. With metrics disabled and no collector
-  /// the wrapper is a single relaxed atomic load plus the virtual call.
+  /// per-kind `EvaluateImpl` with instrumentation — when `ctx.stats` is
+  /// set, this node's actuals land in its slot there. With tracing off
+  /// and no record the wrapper is a relaxed atomic load plus the virtual
+  /// call.
   Result<XRelation> Evaluate(EvalContext& ctx) const;
 
   /// The Serena Algebra Language rendering of this subtree; parseable by
@@ -182,6 +236,11 @@ class PlanNode {
   bool Equals(const PlanNode& other) const {
     return ToString() == other.ToString();
   }
+
+  /// The stable hash behind `obs::OperatorFingerprint`: of the operator
+  /// kind plus the rendered subtree, computed on first use and kept
+  /// (nodes are immutable).
+  std::uint64_t StableFingerprint() const;
 
  protected:
   explicit PlanNode(PlanKind kind) : kind_(kind) {}
@@ -196,6 +255,10 @@ class PlanNode {
   Result<XRelation> EvaluateDispatch(EvalContext& ctx) const;
 
   PlanKind kind_;
+  /// `StableFingerprint`, valid once `fingerprint_known_` is set. Threads
+  /// racing to compute it store the same value.
+  mutable std::atomic<std::uint64_t> fingerprint_{0};
+  mutable std::atomic<bool> fingerprint_known_{false};
 };
 
 // ---------------------------------------------------------------------------

@@ -920,19 +920,17 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
 /// batches). Stages never started (the right join side after a left
 /// failure) stay unrecorded, exactly like unevaluated scalar operands.
 void FlushStats(const Pipeline& pipeline, const PlanNode& root_node,
-                PlanStatsCollector& collector, std::uint64_t elapsed_ns) {
+                PlanStats& record, std::uint64_t elapsed_ns) {
   for (const auto& cursor : pipeline.cursors) {
     if (!cursor->native || !cursor->started) continue;
-    if (cursor->node == &root_node) {
-      collector.StatsFor(&root_node).batches += cursor->batches_out;
-      continue;
-    }
-    NodeRuntimeStats& stats = collector.StatsFor(cursor->node);
-    ++stats.evals;
-    stats.rows_out += cursor->rows_out;
-    stats.wall_ns += elapsed_ns;
-    stats.batches += cursor->batches_out;
-    if (cursor->failed) ++stats.errors;
+    NodeRuntimeStats* stats = record.Find(cursor->node);
+    if (stats == nullptr) continue;
+    stats->batches += cursor->batches_out;
+    if (cursor->node == &root_node) continue;
+    ++stats->evals;
+    stats->rows_out += cursor->rows_out;
+    stats->wall_ns += elapsed_ns;
+    if (cursor->failed) ++stats->errors;
   }
 }
 
@@ -1023,14 +1021,15 @@ std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
   if (obs::TraceBuffer::Global().enabled()) {
     span.emplace("vec.pipeline", ctx.instant, FusedStages(pipeline));
   }
-  const std::uint64_t start_ns =
-      ctx.stats != nullptr ? obs::MonotonicNowNs() : 0;
+  const bool timed = ctx.stats != nullptr && ctx.stats->timed();
+  const std::uint64_t start_ns = timed ? obs::MonotonicNowNs() : 0;
 
   Result<XRelation> result = RunTerminal(
       pipeline, aggregator.has_value() ? &*aggregator : nullptr, ctx);
 
   if (ctx.stats != nullptr) {
-    FlushStats(pipeline, node, *ctx.stats, obs::MonotonicNowNs() - start_ns);
+    FlushStats(pipeline, node, *ctx.stats,
+               timed ? obs::MonotonicNowNs() - start_ns : 0);
   }
   if (obs::MetricsRegistry::Global().enabled()) CountPipeline(pipeline);
   pool->ReleaseToMark(mark);

@@ -145,7 +145,9 @@ Status RefreshQueryHealth(Environment* env, const QueryHealth* health) {
                           env->GetRelation(kSysQueryHealthRelation));
   XRelation relation(existing->schema_ptr());
   if (health != nullptr) {
-    for (const QueryHealth::QuerySnapshot& query : health->Snapshots()) {
+    // Rows straight from the per-query records, in name order.
+    relation.Reserve(health->size());
+    health->ForEach([&relation](const QueryHealth::QuerySnapshot& query) {
       relation.InsertUnchecked(
           Tuple{Value::String(query.name),
                 Value::Int(query.last_completed_instant),
@@ -154,7 +156,7 @@ Status RefreshQueryHealth(Environment* env, const QueryHealth* health) {
                 IntValue(query.p50_step_ns), IntValue(query.p99_step_ns),
                 Value::Real(query.rows_in_rate),
                 Value::Real(query.rows_out_rate)});
-    }
+    });
   }
   return env->PutRelation(std::move(relation));
 }

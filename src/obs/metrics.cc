@@ -17,6 +17,15 @@ std::uint64_t MonotonicNowNs() {
           .count());
 }
 
+std::size_t CounterStripe() {
+  // Threads take stripes round-robin in first-use order, so the handful
+  // of threads stepping queries land on distinct cache lines.
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t stripe =
+      next.fetch_add(1, std::memory_order_relaxed) % Counter::kStripes;
+  return stripe;
+}
+
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
@@ -79,7 +88,6 @@ std::uint64_t Histogram::ValueAtPercentile(double p) const {
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snapshot;
-  snapshot.buckets.resize(kBucketCount + 1);
   for (std::size_t i = 0; i <= kBucketCount; ++i) {
     snapshot.buckets[i] = BucketCount(i);
     snapshot.count += snapshot.buckets[i];

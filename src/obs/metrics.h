@@ -1,6 +1,7 @@
 #ifndef SERENA_OBS_METRICS_H_
 #define SERENA_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -17,18 +18,41 @@ namespace obs {
 /// algebra — telemetry records both.
 std::uint64_t MonotonicNowNs();
 
+/// A small stable index of the calling thread, the stripe it increments
+/// in every `Counter`.
+std::size_t CounterStripe();
+
 /// A monotonically increasing event count. Thread-safe; incrementing is a
-/// single relaxed atomic add.
+/// single relaxed atomic add to the calling thread's stripe, each stripe
+/// on its own cache line, so threads stepping queries side by side never
+/// contend on a hot counter (`serena.op.*`, `serena.vectorize.*`).
+/// Reading sums the stripes.
 class Counter {
  public:
+  static constexpr std::size_t kStripes = 8;
+
   void Increment(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    stripes_[CounterStripe()].value.fetch_add(delta,
+                                              std::memory_order_relaxed);
   }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  std::uint64_t value() const {
+    std::uint64_t sum = 0;
+    for (const Stripe& stripe : stripes_) {
+      sum += stripe.value.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+  void Reset() {
+    for (Stripe& stripe : stripes_) {
+      stripe.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Stripe {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Stripe, kStripes> stripes_;
 };
 
 /// A point-in-time level (queue depth, catalog size). Thread-safe.
@@ -47,27 +71,7 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// A point-in-time copy of one histogram's state, internally consistent
-/// by construction: `count` is computed as the sum of the copied buckets,
-/// so percentiles derived from a snapshot are monotone even while writers
-/// race — the fix for torn dashboards read field-by-field from the live
-/// atomics (see docs/OBSERVABILITY.md).
-struct HistogramSnapshot {
-  /// One count per bounded bucket plus the overflow bucket (last entry).
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-  /// Same semantics as Histogram::ValueAtPercentile, over the frozen
-  /// buckets.
-  std::uint64_t ValueAtPercentile(double p) const;
-};
+struct HistogramSnapshot;
 
 /// A fixed-bucket latency histogram. Buckets are exponential, base 2:
 /// bucket i counts recorded values v with v < BucketBound(i), where
@@ -122,6 +126,29 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{UINT64_MAX};
   std::atomic<std::uint64_t> max_{0};
+};
+
+/// A point-in-time copy of one histogram's state, internally consistent
+/// by construction: `count` is computed as the sum of the copied buckets,
+/// so percentiles derived from a snapshot are monotone even while writers
+/// race — the fix for torn dashboards read field-by-field from the live
+/// atomics (see docs/OBSERVABILITY.md).
+struct HistogramSnapshot {
+  /// One count per bounded bucket plus the overflow bucket (last entry).
+  /// Inline, so taking a snapshot allocates nothing.
+  std::array<std::uint64_t, Histogram::kBucketCount + 1> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+
+  double mean() const {
+    return count == 0 ? 0.0
+                      : static_cast<double>(sum) / static_cast<double>(count);
+  }
+  /// Same semantics as Histogram::ValueAtPercentile, over the frozen
+  /// buckets.
+  std::uint64_t ValueAtPercentile(double p) const;
 };
 
 /// The process-wide registry of named telemetry instruments.

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <unordered_set>
 
 #include "algebra/plan.h"
-#include "common/hash.h"
-#include "common/string_util.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -104,16 +102,96 @@ const OperatorInstruments& InstrumentsFor(PlanKind kind) {
 
 }  // namespace
 
-std::string OperatorFingerprint(const PlanNode& node) {
-  // Kind is prefixed separately: two operators could in principle render
-  // identically while differing in kind, and the prefix keeps the
-  // fingerprint honest if a ToString ever becomes ambiguous.
-  std::string key = PlanKindToString(node.kind());
-  key.push_back('|');
-  key += node.ToString();
-  return StringFormat("%016llx",
-                      static_cast<unsigned long long>(StableHash(key)));
+namespace {
+
+/// 16 lowercase hex digits, most significant first.
+std::string FormatFingerprint(std::uint64_t hash) {
+  std::string fingerprint(16, '0');
+  for (auto digit = fingerprint.rbegin(); digit != fingerprint.rend();
+       ++digit, hash >>= 4) {
+    *digit = "0123456789abcdef"[hash & 15];
+  }
+  return fingerprint;
 }
+
+/// The hash `FormatFingerprint` rendered as `fingerprint`, or nullopt
+/// when it is not 16 lowercase hex digits.
+std::optional<std::uint64_t> ParseFingerprint(const std::string& fingerprint) {
+  if (fingerprint.size() != 16) return std::nullopt;
+  std::uint64_t hash = 0;
+  for (const char c : fingerprint) {
+    const int digit = c >= '0' && c <= '9'   ? c - '0'
+                      : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                             : -1;
+    if (digit < 0) return std::nullopt;
+    hash = hash << 4 | static_cast<std::uint64_t>(digit);
+  }
+  return hash;
+}
+
+}  // namespace
+
+std::string OperatorFingerprint(const PlanNode& node) {
+  return FormatFingerprint(node.StableFingerprint());
+}
+
+/// The counters are atomics so steps on any thread publish into a slot
+/// with relaxed adds while readers load it under the store's mutex.
+struct StatsStore::Slot {
+  /// Fingerprint, kind, label and prototype; counters stay zero here.
+  OperatorStats identity;
+  PlanKind kind = PlanKind::kScan;
+  std::atomic<std::uint64_t> evals{0};
+  std::atomic<std::uint64_t> rows_in{0};
+  std::atomic<std::uint64_t> rows_out{0};
+  std::atomic<std::uint64_t> wall_ns{0};
+  std::atomic<std::uint64_t> invocations{0};
+  std::atomic<std::uint64_t> memo_hits{0};
+  std::atomic<std::uint64_t> errors{0};
+  std::atomic<std::uint64_t> batches{0};
+  /// Plans holding the slot (`Acquire` minus `Release`); guarded by the
+  /// store's mutex.
+  std::size_t refs = 0;
+
+  bool live() const { return evals.load(std::memory_order_relaxed) > 0; }
+
+  void Add(const NodeRuntimeStats& node, std::uint64_t node_rows_in) {
+    const auto add = [](std::atomic<std::uint64_t>& field, std::uint64_t v) {
+      if (v != 0) field.fetch_add(v, std::memory_order_relaxed);
+    };
+    add(rows_in, node_rows_in);
+    add(rows_out, node.rows_out);
+    add(wall_ns, node.wall_ns);
+    add(invocations, node.invocations);
+    add(memo_hits, node.memo_hits);
+    add(errors, node.errors);
+    add(batches, node.batches);
+    add(evals, node.evals);
+  }
+
+  OperatorStats Load() const {
+    OperatorStats op = identity;
+    op.evals = evals.load(std::memory_order_relaxed);
+    op.rows_in = rows_in.load(std::memory_order_relaxed);
+    op.rows_out = rows_out.load(std::memory_order_relaxed);
+    op.wall_ns = wall_ns.load(std::memory_order_relaxed);
+    op.invocations = invocations.load(std::memory_order_relaxed);
+    op.memo_hits = memo_hits.load(std::memory_order_relaxed);
+    op.errors = errors.load(std::memory_order_relaxed);
+    op.batches = batches.load(std::memory_order_relaxed);
+    return op;
+  }
+
+  void Zero() {
+    for (std::atomic<std::uint64_t>* field :
+         {&evals, &rows_in, &rows_out, &wall_ns, &invocations, &memo_hits,
+          &errors, &batches}) {
+      field->store(0, std::memory_order_relaxed);
+    }
+  }
+};
+
+StatsStore::~StatsStore() = default;
 
 StatsStore::StatsStore() {
   const char* path = std::getenv("SERENA_STATS_FILE");
@@ -129,79 +207,63 @@ StatsStore& StatsStore::Global() {
   return *store;
 }
 
-std::vector<FingerprintedNode> FingerprintPlan(const PlanNode& root) {
-  std::vector<FingerprintedNode> nodes;
-  std::unordered_set<const PlanNode*> seen;
-  // Iterative DFS; plans are shallow but shared subtrees must merge once.
-  std::vector<const PlanNode*> pending = {&root};
-  while (!pending.empty()) {
-    const PlanNode* node = pending.back();
-    pending.pop_back();
-    if (!seen.insert(node).second) continue;
-    FingerprintedNode entry{node, OperatorFingerprint(*node), {}};
-    for (const PlanPtr& child : node->children()) {
-      entry.children.push_back(child.get());
-      pending.push_back(child.get());
-    }
-    nodes.push_back(std::move(entry));
+StatsStore::Slot* StatsStore::SlotFor(const PlanNode& node) {
+  const std::uint64_t hash = node.StableFingerprint();
+  std::unique_ptr<Slot>& slot = operators_[hash];
+  if (slot == nullptr) {
+    slot = std::make_unique<Slot>();
+    slot->identity.fingerprint = FormatFingerprint(hash);
+    slot->identity.kind = PlanKindToString(node.kind());
+    slot->identity.label = TruncatedLabel(node.ToString());
+    slot->identity.prototype = NodePrototype(node);
+    slot->kind = node.kind();
   }
-  return nodes;
+  return slot.get();
 }
 
-void StatsStore::RecordPlan(const std::vector<FingerprintedNode>& nodes,
-                            const PlanStatsCollector& collector) {
-  // Resolve this evaluation's actuals and feed the (atomic) per-kind
-  // counters outside the lock; `mu_` guards only the merge into
-  // `operators_`.
-  struct Update {
-    const FingerprintedNode* entry;
-    const NodeRuntimeStats* stats;
-    std::uint64_t rows_in;
-  };
-  std::vector<Update> updates;
-  updates.reserve(nodes.size());
-  for (const FingerprintedNode& entry : nodes) {
-    const NodeRuntimeStats* stats = collector.Find(entry.node);
-    if (stats == nullptr || stats->evals == 0) continue;
-    std::uint64_t rows_in = 0;
-    for (const PlanNode* child : entry.children) {
-      if (const NodeRuntimeStats* child_stats = collector.Find(child)) {
-        rows_in += child_stats->rows_out;
-      }
-    }
-    updates.push_back({&entry, stats, rows_in});
-  }
-  if (updates.empty()) return;
-
-  if (MetricsRegistry::Global().enabled()) {
-    for (const Update& update : updates) {
-      const OperatorInstruments& instruments =
-          InstrumentsFor(update.entry->node->kind());
-      instruments.evals->Increment(update.stats->evals);
-      instruments.rows_out->Increment(update.stats->rows_out);
-      instruments.wall_ns->Increment(update.stats->wall_ns);
-    }
-  }
-
+std::vector<StatsStore::Slot*> StatsStore::Acquire(const PlanStats& shape) {
+  std::vector<Slot*> slots;
+  slots.reserve(shape.size());
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Update& update : updates) {
-    const PlanNode& node = *update.entry->node;
-    OperatorStats& op = operators_[update.entry->fingerprint];
-    if (op.fingerprint.empty()) {
-      op.fingerprint = update.entry->fingerprint;
-      op.kind = PlanKindToString(node.kind());
-      op.label = TruncatedLabel(node.ToString());
-      op.prototype = NodePrototype(node);
-    }
-    op.evals += update.stats->evals;
-    op.rows_in += update.rows_in;
-    op.rows_out += update.stats->rows_out;
-    op.wall_ns += update.stats->wall_ns;
-    op.invocations += update.stats->invocations;
-    op.memo_hits += update.stats->memo_hits;
-    op.errors += update.stats->errors;
-    op.batches += update.stats->batches;
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    Slot* slot = SlotFor(*shape.node(i));
+    ++slot->refs;
+    slots.push_back(slot);
   }
+  return slots;
+}
+
+void StatsStore::Release(const std::vector<Slot*>& slots) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Slot* slot : slots) --slot->refs;
+}
+
+void StatsStore::Publish(const std::vector<Slot*>& slots,
+                         const PlanStats& stats) {
+  const bool metered = MetricsRegistry::Global().enabled();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const NodeRuntimeStats& node = stats.at(i);
+    if (node.evals == 0) continue;
+    Slot& slot = *slots[i];
+    slot.Add(node, stats.RowsIn(i));
+    if (metered) {
+      const OperatorInstruments& instruments = InstrumentsFor(slot.kind);
+      instruments.evals->Increment(node.evals);
+      instruments.rows_out->Increment(node.rows_out);
+      instruments.wall_ns->Increment(node.wall_ns);
+    }
+  }
+}
+
+void StatsStore::RecordPlan(const PlanStats& stats) {
+  std::vector<Slot*> slots;
+  slots.reserve(stats.size());
+  // Publishing under the mutex: no `Clear` can delete the unheld slots.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    slots.push_back(SlotFor(*stats.node(i)));
+  }
+  Publish(slots, stats);
 }
 
 std::vector<OperatorStats> StatsStore::Snapshot() const {
@@ -209,7 +271,9 @@ std::vector<OperatorStats> StatsStore::Snapshot() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     out.reserve(operators_.size());
-    for (const auto& [fingerprint, op] : operators_) out.push_back(op);
+    for (const auto& [fingerprint, slot] : operators_) {
+      if (slot->live()) out.push_back(slot->Load());
+    }
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const OperatorStats& a, const OperatorStats& b) {
@@ -221,25 +285,31 @@ std::vector<OperatorStats> StatsStore::Snapshot() const {
 std::optional<OperatorStats> StatsStore::Find(
     const std::string& fingerprint) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const OperatorStats* stats = FindAliased(operators_, fingerprint);
-  if (stats == nullptr) return std::nullopt;
-  return *stats;
+  return FindAliased(fingerprint, /*baseline=*/false);
 }
 
-const OperatorStats* StatsStore::FindAliased(
-    const std::map<std::string, OperatorStats>& map,
-    const std::string& fingerprint) const {
+std::optional<OperatorStats> StatsStore::FindAliased(
+    const std::string& fingerprint, bool baseline) const {
   const std::string* key = &fingerprint;
   // Bounded alias-chain walk: re-optimized re-optimizations may alias an
   // alias; a cycle (impossible by construction, cheap to guard) stops.
   for (int hops = 0; hops < 8; ++hops) {
-    const auto it = map.find(*key);
-    if (it != map.end()) return &it->second;
+    if (baseline) {
+      if (const auto it = baseline_.find(*key); it != baseline_.end()) {
+        return it->second;
+      }
+    } else if (const std::optional<std::uint64_t> hash =
+                   ParseFingerprint(*key)) {
+      if (const auto it = operators_.find(*hash);
+          it != operators_.end() && it->second->live()) {
+        return it->second->Load();
+      }
+    }
     const auto alias = aliases_.find(*key);
-    if (alias == aliases_.end()) return nullptr;
+    if (alias == aliases_.end()) return std::nullopt;
     key = &alias->second;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 void StatsStore::AddFingerprintAlias(const std::string& alias,
@@ -256,7 +326,11 @@ std::size_t StatsStore::alias_count() const {
 
 std::size_t StatsStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return operators_.size();
+  std::size_t live = 0;
+  for (const auto& [fingerprint, slot] : operators_) {
+    if (slot->live()) ++live;
+  }
+  return live;
 }
 
 bool StatsStore::has_baseline() const {
@@ -267,9 +341,7 @@ bool StatsStore::has_baseline() const {
 std::optional<OperatorStats> StatsStore::FindBaseline(
     const std::string& fingerprint) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const OperatorStats* stats = FindAliased(baseline_, fingerprint);
-  if (stats == nullptr) return std::nullopt;
-  return *stats;
+  return FindAliased(fingerprint, /*baseline=*/true);
 }
 
 std::vector<BetaLatencyProfile> StatsStore::BetaProfiles() const {
@@ -322,7 +394,14 @@ std::vector<BetaLatencyProfile> StatsStore::BetaProfiles() const {
 
 void StatsStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  operators_.clear();
+  for (auto it = operators_.begin(); it != operators_.end();) {
+    if (it->second->refs == 0) {
+      it = operators_.erase(it);
+    } else {
+      it->second->Zero();
+      ++it;
+    }
+  }
   aliases_.clear();
 }
 
@@ -334,7 +413,9 @@ std::string StatsStore::ToJson() const {
   // std::map iteration order — stable across runs for a given workload.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [fingerprint, op] : operators_) WriteOperator(json, op);
+    for (const auto& [fingerprint, slot] : operators_) {
+      if (slot->live()) WriteOperator(json, slot->Load());
+    }
   }
   json.EndArray();
   json.Key("services").BeginArray();

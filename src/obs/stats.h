@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -14,14 +15,14 @@
 namespace serena {
 
 class PlanNode;
-class PlanStatsCollector;
+class PlanStats;
 
 namespace obs {
 
 /// Aggregated runtime statistics of one plan operator, keyed by its
-/// stable fingerprint (see `OperatorFingerprint`). Unlike the per-query
-/// `PlanStatsCollector` (keyed by node *identity*, scoped to one plan
-/// instance), these records accumulate across ticks, queries and plan
+/// stable fingerprint (see `OperatorFingerprint`). Unlike a `PlanStats`
+/// (indexed by node ordinal, scoped to one plan instance), these
+/// records accumulate across ticks, queries and plan
 /// instances: every occurrence of a structurally identical operator —
 /// `select[temperature > 30](window[5](temperatures))`, wherever it
 /// appears — feeds the same record. This is the observed-cardinality
@@ -101,27 +102,25 @@ struct BetaLatencyProfile {
 /// algebra parser round-trips). Identical algebra ⇒ identical
 /// fingerprint, across plan instances, processes and runs — the property
 /// that lets a persisted statistics file describe the *next* run's plans.
+/// It is `PlanNode::StableFingerprint` — computed once per node — as 16
+/// lowercase hex digits.
 std::string OperatorFingerprint(const PlanNode& node);
-
-/// One distinct node of a plan with its `OperatorFingerprint` and its
-/// children, precomputed so recording an evaluation renders nothing.
-struct FingerprintedNode {
-  const PlanNode* node;
-  std::string fingerprint;
-  std::vector<const PlanNode*> children;
-};
-
-/// Every distinct node under `root` (a shared subtree appears once) with
-/// its fingerprint. Plans are immutable, so a plan evaluated repeatedly
-/// (a standing query) computes this once and passes it to every
-/// `StatsStore::RecordPlan`; the result refers to `root`'s nodes and
-/// must not outlive the plan.
-std::vector<FingerprintedNode> FingerprintPlan(const PlanNode& root);
 
 /// The process-wide runtime statistics store ("gen 3" observability):
 /// per-operator cardinality/selectivity/latency aggregates keyed by
 /// fingerprint, fed by every instrumented evaluation path (one-shot
 /// `Execute`, `ContinuousQuery::Step`, `ExplainAnalyzePlan`).
+///
+/// Each operator's record lives in a *slot* with a stable address and
+/// atomic counters. A standing query resolves its nodes' slots once
+/// (`Acquire`, when the query is built) and publishes each step's deltas
+/// into them with relaxed atomic adds (`Publish`): no lock, no lookup,
+/// no allocation. One-shot paths resolve and publish in one
+/// `RecordPlan`.
+/// A record is *live* — visible to `Find`, `Snapshot`, `size` and the
+/// JSON document — once its operator has been evaluated (evals > 0).
+/// Fields are read one atomic at a time, so a read racing a step may
+/// see that step's deltas in some fields and not yet in others.
 ///
 /// Persistence: `SaveToFile` writes the store as one JSON document;
 /// when the `SERENA_STATS_FILE` environment variable names a path, the
@@ -130,11 +129,15 @@ std::vector<FingerprintedNode> FingerprintPlan(const PlanNode& root);
 /// rewrites it — so consecutive runs see each other's statistics, and
 /// EXPLAIN ANALYZE can annotate observed-vs-last-run deltas.
 ///
-/// Thread-safe; recording takes one mutex per *plan* (not per node), held
-/// only to merge counters.
+/// Thread-safe. The store's mutex guards its maps: slot resolution,
+/// reads, aliases, baselines and `Clear`; publishing never takes it.
 class StatsStore {
  public:
+  /// One operator's record (defined in stats.cc).
+  struct Slot;
+
   StatsStore();
+  ~StatsStore();
 
   StatsStore(const StatsStore&) = delete;
   StatsStore& operator=(const StatsStore&) = delete;
@@ -142,16 +145,23 @@ class StatsStore {
   /// The process-wide store used by all built-in instrumentation.
   static StatsStore& Global();
 
-  /// Aggregates one evaluation's per-node actuals into the store, keyed by
-  /// the precomputed fingerprints of `nodes` (`FingerprintPlan` of the
-  /// evaluated plan). The collector must hold *deltas* for exactly the
-  /// evaluations being recorded (the callers pass per-evaluation scratch
-  /// collectors); `rows_in` is derived as the sum of each node's
-  /// children's outputs. While the metrics registry is enabled, the same
-  /// actuals also feed the per-kind `serena.op.<kind>.{evals,rows_out,
-  /// wall_ns}` counters — the only place those are written.
-  void RecordPlan(const std::vector<FingerprintedNode>& nodes,
-                  const PlanStatsCollector& collector);
+  /// The slots of `shape`'s nodes' operators, entry i for ordinal i,
+  /// created on first sight. Each stays valid — `Clear` zeroes it instead
+  /// of dropping it — until `Release`d.
+  std::vector<Slot*> Acquire(const PlanStats& shape);
+  void Release(const std::vector<Slot*>& slots);
+
+  /// Adds `stats` — deltas of the evaluations being recorded, for the plan
+  /// whose `Acquire`d slots are `slots` (entry i for ordinal i) — to the
+  /// store; `rows_in` is derived as the sum of each node's children's
+  /// outputs. While the metrics registry is enabled, the same actuals
+  /// also feed the per-kind `serena.op.<kind>.{evals,rows_out,wall_ns}`
+  /// counters — the only place those are written. Lock-free.
+  static void Publish(const std::vector<Slot*>& slots, const PlanStats& stats);
+
+  /// Resolves and publishes in one pass under the mutex: how a one-shot
+  /// evaluation records its scratch `PlanStats`.
+  void RecordPlan(const PlanStats& stats);
 
   /// All live records, most expensive (total wall time) first.
   std::vector<OperatorStats> Snapshot() const;
@@ -177,7 +187,9 @@ class StatsStore {
   /// registry. Sorted by prototype name.
   std::vector<BetaLatencyProfile> BetaProfiles() const;
 
-  /// Drops live records (baseline and cached env-file path stay).
+  /// Drops live records (baseline and cached env-file path stay): a slot
+  /// no plan holds is deleted, an `Acquire`d one is zeroed in place, so a
+  /// standing query keeps recording into it.
   void Clear();
 
   /// The store as one JSON document:
@@ -197,13 +209,20 @@ class StatsStore {
   bool MaybeSaveEnvFile() const;
 
  private:
-  /// `map` resolved through the alias chain; call with `mu_` held.
-  const OperatorStats* FindAliased(
-      const std::map<std::string, OperatorStats>& map,
-      const std::string& fingerprint) const;
+  /// The slot of `node`'s operator, created on first sight; call with
+  /// `mu_` held.
+  Slot* SlotFor(const PlanNode& node);
+
+  /// The live record of `fingerprint`, resolved through the alias chain:
+  /// in `operators_` (`baseline` false) or `baseline_`. Call with `mu_`
+  /// held.
+  std::optional<OperatorStats> FindAliased(const std::string& fingerprint,
+                                           bool baseline) const;
 
   mutable std::mutex mu_;
-  std::map<std::string, OperatorStats> operators_;
+  // Keyed by `PlanNode::StableFingerprint`, which orders like its hex
+  // form; unique_ptr: slots are published into through stable addresses.
+  std::map<std::uint64_t, std::unique_ptr<Slot>> operators_;
   std::map<std::string, OperatorStats> baseline_;
   std::map<std::string, std::string> aliases_;
   bool has_baseline_ = false;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/stats.h"
 
 namespace serena {
 
@@ -40,32 +39,21 @@ Result<XRelation> ContinuousQuery::Step(Environment* env,
   ctx.batch_pool = &batch_pool_;
   last_failed_tuples_.clear();
   ctx.failed_tuples = &last_failed_tuples_;
-  // Collect per-node actuals while metrics are on: they feed the global
-  // runtime statistics store (and through it the `serena.op.*` counters)
-  // and the rows-in figure below.
-  const bool track = obs::MetricsRegistry::Global().enabled();
-  PlanStatsCollector step_stats;
-  if (track) ctx.stats = &step_stats;
+  // Per-node actuals land in the query's own record every step: its
+  // leaves' rows feed the query's health whether metrics are on or off.
+  // While they are on, steps are timed and published to the statistics
+  // store (and through it the `serena.op.*` counters), failed ones too:
+  // error counts matter.
+  const bool metered = obs::MetricsRegistry::Global().enabled();
+  PlanStats& stats = runtime_->stats();
+  stats.Reset();
+  stats.set_timed(metered);
+  ctx.stats = &stats;
   Result<XRelation> evaluated = plan_->Evaluate(ctx);
-  if (track) {
-    // The plan never changes, so its fingerprints are rendered once.
-    if (fingerprints_.empty()) fingerprints_ = obs::FingerprintPlan(*plan_);
-    obs::StatsStore::Global().RecordPlan(fingerprints_, step_stats);
-  }
+  if (metered) runtime_->PublishStats();
   SERENA_ASSIGN_OR_RETURN(XRelation result, std::move(evaluated));
   ++steps_;
-  // Rows the plan's leaves emitted this step. Each distinct leaf is read
-  // once: its rows_out already sums every evaluation of it, so a leaf
-  // shared by two paths must not be visited once per path.
-  last_rows_in_ = 0;
-  if (track) {
-    for (const obs::FingerprintedNode& entry : fingerprints_) {
-      if (!entry.children.empty()) continue;
-      if (const NodeRuntimeStats* stats = step_stats.Find(entry.node)) {
-        last_rows_in_ += stats->rows_out;
-      }
-    }
-  }
+  last_rows_in_ = stats.LeafRowsOut();
   last_rows_out_ = result.size();
   if (sink_) sink_(instant, result);
   return result;

@@ -10,7 +10,7 @@
 
 #include "algebra/plan.h"
 #include "algebra/tuple_batch.h"
-#include "obs/stats.h"
+#include "stream/query_runtime.h"
 
 namespace serena {
 
@@ -77,11 +77,19 @@ class ContinuousQuery {
   /// Called after each step with the instant and the step's result.
   using Sink = std::function<void(Timestamp, const XRelation&)>;
 
+  /// Builds the query's runtime record: its plan's node ordinals and
+  /// statistics-store slots are resolved here, once.
   ContinuousQuery(std::string name, PlanPtr plan)
-      : name_(std::move(name)), plan_(std::move(plan)) {}
+      : name_(std::move(name)),
+        plan_(std::move(plan)),
+        runtime_(std::make_shared<QueryRuntime>(plan_)) {}
 
   const std::string& name() const { return name_; }
   const PlanPtr& plan() const { return plan_; }
+
+  /// The record every step writes: the last step's per-node statistics
+  /// and the query's health (shared with the executor's `QueryHealth`).
+  const std::shared_ptr<QueryRuntime>& runtime() const { return runtime_; }
 
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
@@ -121,9 +129,8 @@ class ContinuousQuery {
 
   /// Rows that entered the plan's leaves (scans + windows) during the
   /// last step — every evaluation of each distinct leaf node, as the
-  /// statistics store records them — and rows the last step emitted.
-  /// Rows-in is tracked while the global metrics registry is enabled (0
-  /// otherwise) — the tuples-in/out feed of the executor's QueryHealth.
+  /// statistics store records them — and rows the last step emitted:
+  /// the tuples-in/out feed of the query's health, metrics on or off.
   std::uint64_t last_rows_in() const { return last_rows_in_; }
   std::uint64_t last_rows_out() const { return last_rows_out_; }
 
@@ -151,8 +158,7 @@ class ContinuousQuery {
   ActionLog action_log_;
   std::vector<Tuple> last_failed_tuples_;
   std::uint64_t steps_ = 0;
-  /// `obs::FingerprintPlan(*plan_)`, computed on the first recorded step.
-  std::vector<obs::FingerprintedNode> fingerprints_;
+  std::shared_ptr<QueryRuntime> runtime_;
   std::uint64_t last_rows_in_ = 0;
   std::uint64_t last_rows_out_ = 0;
 };

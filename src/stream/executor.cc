@@ -109,7 +109,8 @@ Status ContinuousExecutor::Register(ContinuousQueryPtr query) {
   entries_.push_back(std::move(entry));
   entry_index_.emplace(name, index);
   Place(index);
-  health_.Register(name, env_->clock().now());
+  health_.Register(name, entries_[index].query->runtime(),
+                   env_->clock().now());
   return Status::OK();
 }
 
@@ -281,35 +282,21 @@ Timestamp ContinuousExecutor::Tick() {
 
   ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::Shared();
   std::vector<Status> step_status(entries_.size(), Status::OK());
-  std::vector<std::uint64_t> step_ns(entries_.size(), 0);
   // Step results are only retained for observers; without any, the tick
   // stays copy-free.
   std::vector<std::optional<XRelation>> step_result(
       tick_observers_.empty() ? 0 : entries_.size());
   for (const std::vector<std::size_t>& level : schedule_) {
-    // Resolve instruments serially: the metrics registry lookup and the
-    // histogram cache are not on the step's concurrent path.
-    if (meter) {
-      for (const std::size_t i : level) {
-        if (entries_[i].step_histogram == nullptr) {
-          entries_[i].step_histogram =
-              &obs::MetricsRegistry::Global().GetHistogram(
-                  "serena.executor.query." + entries_[i].query->name() +
-                  ".step_ns");
-        }
-      }
-    }
     pool.ParallelFor(level.size(), [&](std::size_t k) {
-      Entry& entry = entries_[level[k]];
-      obs::Span step_span("executor.step", now, entry.query->name());
+      ContinuousQuery& query = *entries_[level[k]].query;
+      obs::Span step_span("executor.step", now, query.name());
       const std::uint64_t step_start_ns = obs::MonotonicNowNs();
-      auto result = entry.query->Step(env_, streams_, now, &pool);
-      const std::uint64_t elapsed_ns =
-          obs::MonotonicNowNs() - step_start_ns;
-      step_ns[level[k]] = elapsed_ns;
-      if (meter && entry.step_histogram != nullptr) {
-        entry.step_histogram->Record(elapsed_ns);
-      }
+      auto result = query.Step(env_, streams_, now, &pool);
+      // The step's health lands in the query's own record, here on the
+      // stepping thread: no lock, no lookup.
+      query.runtime()->RecordStep(now, result.ok(),
+                                  obs::MonotonicNowNs() - step_start_ns,
+                                  query.last_rows_in(), query.last_rows_out());
       if (!result.ok()) {
         step_status[level[k]] = result.status();
       } else if (!step_result.empty()) {
@@ -318,12 +305,9 @@ Timestamp ContinuousExecutor::Tick() {
     });
   }
 
-  // Merge failures and health observations serially, in registration
-  // order.
+  // Merge failures and notify observers serially, in registration order.
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const ContinuousQuery& query = *entries_[i].query;
-    health_.Observe(query.name(), now, step_status[i].ok(), step_ns[i],
-                    query.last_rows_in(), query.last_rows_out());
     for (TickObserver* observer : tick_observers_) {
       observer->OnQueryStep(
           now, query, step_status[i],

@@ -195,8 +195,6 @@ class ContinuousExecutor {
     std::vector<std::uint32_t> feeds;
     /// Relations the query's plan scans.
     std::vector<std::string> scans;
-    /// Cached per-query step-latency histogram (resolved lazily).
-    obs::Histogram* step_histogram = nullptr;
   };
 
   /// Walks `plan`'s leaves: widens `demands` (when non-null) by its

@@ -2,14 +2,14 @@
 #define SERENA_STREAM_QUERY_HEALTH_H_
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
-#include "obs/metrics.h"
+#include "stream/query_runtime.h"
 
 namespace serena {
 
@@ -20,8 +20,11 @@ namespace serena {
 /// the raw metrics registry — surfaced through `\health` in the shell,
 /// `PemsMetrics::ToJson`, and the `sys_query_health` meta-relation.
 ///
-/// Thread-safe; `Observe` is called from the executor's serial merge
-/// phase, snapshots may be taken from any thread.
+/// The signals live in each query's `QueryRuntime`, which its steps
+/// write directly (`QueryRuntime::RecordStep`); this class indexes the
+/// records by name and derives the lag from the executor clock.
+/// Thread-safe: registration and reads take one mutex; recording a step
+/// takes none.
 class QueryHealth {
  public:
   struct QuerySnapshot {
@@ -50,42 +53,44 @@ class QueryHealth {
   QueryHealth(const QueryHealth&) = delete;
   QueryHealth& operator=(const QueryHealth&) = delete;
 
-  /// Starts tracking `name`; lag is measured from `now` until the first
-  /// completed step. Re-registering resets the entry.
-  void Register(const std::string& name, Timestamp now);
+  /// Starts tracking `name` through `runtime`, whose health is reset; lag
+  /// is measured from `now` until the first completed step.
+  /// Re-registering a name replaces its entry.
+  void Register(const std::string& name,
+                std::shared_ptr<QueryRuntime> runtime, Timestamp now);
   void Unregister(const std::string& name);
 
   /// Advances the lag baseline — the executor calls this with each tick's
   /// instant before stepping, so stalled queries show a growing lag.
   void SetNow(Timestamp now);
 
-  /// Records one step outcome for `name` (no-op when untracked).
-  void Observe(const std::string& name, Timestamp instant, bool ok,
-               std::uint64_t step_ns, std::uint64_t rows_in,
-               std::uint64_t rows_out);
+  /// Calls `visit` with every tracked query's snapshot, sorted by name,
+  /// under the lock. The snapshot object is reused between calls, so
+  /// visiting allocates nothing once its name fits.
+  void ForEach(const std::function<void(const QuerySnapshot&)>& visit) const;
 
   /// All tracked queries, sorted by name.
   std::vector<QuerySnapshot> Snapshots() const;
+
+  /// Number of tracked queries.
+  std::size_t size() const;
 
   void Clear();
 
  private:
   struct Entry {
-    Timestamp registered_at = 0;
-    Timestamp last_completed = -1;
-    std::uint64_t error_streak = 0;
-    std::uint64_t total_errors = 0;
-    std::uint64_t steps = 0;
-    std::uint64_t observed = 0;  ///< Successful + failed steps.
-    std::uint64_t rows_in = 0;
-    std::uint64_t rows_out = 0;
-    obs::Histogram step_ns;
+    std::string name;
+    std::shared_ptr<QueryRuntime> runtime;
   };
+
+  /// The entry named `name`, or where it would be inserted. Call with
+  /// `mu_` held.
+  std::vector<Entry>::iterator Locate(const std::string& name);
 
   mutable std::mutex mu_;
   Timestamp now_ = 0;
-  // unique_ptr: Entry holds atomics (non-movable).
-  std::map<std::string, std::unique_ptr<Entry>> entries_;
+  /// Sorted by name.
+  std::vector<Entry> entries_;
 };
 
 }  // namespace serena

@@ -35,6 +35,8 @@ class FlatTupleIndex {
   FlatTupleIndex& operator=(FlatTupleIndex&& other) noexcept;
 
   std::size_t size() const { return size_; }
+  /// Number of slots (a power of two, 0 before the first insert).
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Sizes the table so `n` entries fit without growing.
   void Reserve(std::size_t n);
@@ -70,10 +72,20 @@ class FlatTupleIndex {
                                             std::size_t position,
                                             const Matches& matches) {
     SERENA_CHECK(position < kEmpty);
-    if ((size_ + 1) * 2 > slots_.size()) Grow(size_ + 1);
-    Slot& slot = slots_[Probe(hash, matches)];
-    if (slot.position != kEmpty) return {slot.position, false};
-    slot = Slot{Tag(hash), static_cast<std::uint32_t>(position)};
+    // Probe first: a hit never grows the table; only an insert that
+    // would pass 50% load does, and then re-probes for its empty slot.
+    std::size_t slot = kNotFound;
+    if (!slots_.empty()) {
+      slot = Probe(hash, matches);
+      if (slots_[slot].position != kEmpty) {
+        return {slots_[slot].position, false};
+      }
+    }
+    if ((size_ + 1) * 2 > slots_.size()) {
+      Grow(size_ + 1);
+      slot = Probe(hash, [](std::size_t) { return false; });
+    }
+    slots_[slot] = Slot{Tag(hash), static_cast<std::uint32_t>(position)};
     ++size_;
     return {position, true};
   }

@@ -170,13 +170,13 @@ TEST_F(CostTest, LearnedBackendUsesObservedCardinalities) {
       Formula::Compare(Operand::Attr("location"), CompareOp::kEq,
                        Operand::Const(Value::String("office"))));
   // Feed the store an actual evaluation so the fingerprint has stats.
-  PlanStatsCollector collector;
+  PlanStats collector(*select);
   EvalContext ctx;
   ctx.env = &scenario_->env();
   ctx.streams = &scenario_->streams();
   ctx.stats = &collector;
   ASSERT_TRUE(select->Evaluate(ctx).ok());
-  store.RecordPlan(obs::FingerprintPlan(*select), collector);
+  store.RecordPlan(collector);
 
   auto learned =
       MakeLearnedCostModel(&scenario_->env(), &scenario_->streams());

@@ -95,7 +95,7 @@ TEST_F(ExplainAnalyzeTest, RepeatedAnalyzeCountsFreshInvocations) {
 }
 
 TEST_F(ExplainAnalyzeTest, EmptyCollectorRendersNeverExecuted) {
-  PlanStatsCollector empty;
+  PlanStats empty(*scenario_->Q1());
   const std::string out =
       RenderPlanWithStats(scenario_->Q1(), env(), &streams(), empty);
   for (const std::string& line : Lines(out)) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "env/sim_services.h"
 #include "obs/metrics.h"
 
@@ -150,9 +152,16 @@ TEST(MonitorTest, HundredTickRunPopulatesMetricsRegistry) {
   EXPECT_GT(memo_hits->value(), 0u);
   EXPECT_GT(memo_misses->value(), 0u);
 
-  // Per-query step latencies.
-  EXPECT_NE(registry.FindHistogram("serena.executor.query.readings.step_ns"),
-            nullptr);
+  // Per-query step latencies: one histogram per query, in its runtime
+  // record, read through the query's health.
+  const std::vector<QueryHealth::QuerySnapshot> health =
+      pems->queries().executor().health().Snapshots();
+  const auto readings =
+      std::find_if(health.begin(), health.end(),
+                   [](const auto& q) { return q.name == "readings"; });
+  ASSERT_NE(readings, health.end());
+  EXPECT_GT(readings->p50_step_ns, 0u);
+  EXPECT_EQ(readings->steps, 100u);
 
   // The dashboard JSON reports it all.
   const std::string json = registry.ToJson();

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -115,6 +116,8 @@ bool IsDdl(const std::string& text) {
 std::string ReplaySignature(const std::string& script, bool optimize,
                             const char* stages = nullptr) {
   std::ostringstream sig;
+  // Sinks of queries stepping side by side run on pool threads at once.
+  std::mutex captures_mu;
   std::map<std::string, std::string> captures;
   auto pems = Pems::Create().MoveValueOrDie();
   pems->queries().set_optimize(optimize);
@@ -178,9 +181,12 @@ std::string ReplaySignature(const std::string& script, bool optimize,
         if (query.ok()) {
           const std::string tag = query_name;
           (*query)->set_sink(
-              [&captures, tag](Timestamp t, const XRelation& r) {
-                captures[tag] += "tick " + std::to_string(t) + ":\n" +
-                                 r.ToTableString();
+              [&captures, &captures_mu, tag](Timestamp t,
+                                             const XRelation& r) {
+                const std::string capture = "tick " + std::to_string(t) +
+                                            ":\n" + r.ToTableString();
+                std::lock_guard<std::mutex> lock(captures_mu);
+                captures[tag] += capture;
               });
         }
       }

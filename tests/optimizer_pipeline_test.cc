@@ -249,13 +249,13 @@ TEST_F(OptimizerPipelineTest, EnumeratedPlansAreDeterministicGivenStats) {
 
   // Populate the store with one observed evaluation so the learned
   // backend actually reads a non-empty snapshot.
-  PlanStatsCollector collector;
+  PlanStats collector(*plan);
   EvalContext ctx;
   ctx.env = &env();
   ctx.streams = &streams();
   ctx.stats = &collector;
   ASSERT_TRUE(plan->Evaluate(ctx).ok());
-  store.RecordPlan(obs::FingerprintPlan(*plan), collector);
+  store.RecordPlan(collector);
 
   std::set<std::string> outputs;
   for (int run = 0; run < 5; ++run) {
@@ -276,13 +276,13 @@ TEST_F(OptimizerPipelineTest, RestructuredPlansKeepTheirStatistics) {
   store.Clear();
   PlanPtr plan = StressPlan();
 
-  PlanStatsCollector collector;
+  PlanStats collector(*plan);
   EvalContext ctx;
   ctx.env = &env();
   ctx.streams = &streams();
   ctx.stats = &collector;
   ASSERT_TRUE(plan->Evaluate(ctx).ok());
-  store.RecordPlan(obs::FingerprintPlan(*plan), collector);
+  store.RecordPlan(collector);
   ASSERT_FALSE(store.Find(obs::OperatorFingerprint(*plan))->evals == 0);
 
   OptimizerOptions options = OptimizerOptions::FromStages("cost").ValueOrDie();

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "algebra/explain.h"
 #include "algebra/plan.h"
 #include "ddl/algebra_parser.h"
 #include "obs/meta.h"
@@ -60,13 +61,22 @@ ContinuousQueryPtr MakeQuery(const std::string& name,
   return std::make_shared<ContinuousQuery>(name, *plan);
 }
 
+/// Tracks `name` in `health` through a fresh runtime record with no plan,
+/// into which the test records steps as the executor would.
+std::shared_ptr<QueryRuntime> Track(QueryHealth& health,
+                                    const std::string& name, Timestamp now) {
+  auto runtime = std::make_shared<QueryRuntime>(nullptr);
+  health.Register(name, runtime, now);
+  return runtime;
+}
+
 // ---------------------------------------------------------------------------
 // QueryHealth unit semantics
 // ---------------------------------------------------------------------------
 
 TEST(QueryHealthTest, LagCountsFromRegistrationUntilFirstStep) {
   QueryHealth health;
-  health.Register("q", /*now=*/2);
+  Track(health, "q", /*now=*/2);
   EXPECT_EQ(Find(health.Snapshots(), "q").lag, 0);
   health.SetNow(5);
   const auto snapshot = Find(health.Snapshots(), "q");
@@ -76,7 +86,7 @@ TEST(QueryHealthTest, LagCountsFromRegistrationUntilFirstStep) {
 
 TEST(QueryHealthTest, HealthySteadyStateHasLagOne) {
   QueryHealth health;
-  health.Register("q", 0);
+  const auto q = Track(health, "q", 0);
   for (Timestamp t = 1; t <= 3; ++t) {
     health.SetNow(t);
     // During the tick, before this query's own step, lag is 1 ("stepped
@@ -84,8 +94,8 @@ TEST(QueryHealthTest, HealthySteadyStateHasLagOne) {
     if (t > 1) {
       EXPECT_EQ(Find(health.Snapshots(), "q").lag, 1);
     }
-    health.Observe("q", t, /*ok=*/true, /*step_ns=*/1000, /*rows_in=*/4,
-                   /*rows_out=*/2);
+    q->RecordStep(t, /*ok=*/true, /*step_ns=*/1000, /*rows_in=*/4,
+                  /*rows_out=*/2);
   }
   const auto snapshot = Find(health.Snapshots(), "q");
   EXPECT_EQ(snapshot.last_completed_instant, 3);
@@ -98,19 +108,19 @@ TEST(QueryHealthTest, HealthySteadyStateHasLagOne) {
 
 TEST(QueryHealthTest, StalledQueryShowsGrowingLag) {
   QueryHealth health;
-  health.Register("q", 0);
+  const auto q = Track(health, "q", 0);
   health.SetNow(1);
-  health.Observe("q", 1, true, 1000, 0, 0);
+  q->RecordStep(1, true, 1000, 0, 0);
   health.SetNow(4);  // Three ticks without a completed step.
   EXPECT_EQ(Find(health.Snapshots(), "q").lag, 3);
 }
 
 TEST(QueryHealthTest, ErrorStreakAccumulatesAndResets) {
   QueryHealth health;
-  health.Register("q", 0);
+  const auto q = Track(health, "q", 0);
   for (Timestamp t = 1; t <= 3; ++t) {
     health.SetNow(t);
-    health.Observe("q", t, /*ok=*/false, 500, 0, 0);
+    q->RecordStep(t, /*ok=*/false, 500, 0, 0);
   }
   auto snapshot = Find(health.Snapshots(), "q");
   EXPECT_EQ(snapshot.error_streak, 3u);
@@ -119,7 +129,7 @@ TEST(QueryHealthTest, ErrorStreakAccumulatesAndResets) {
   EXPECT_EQ(snapshot.last_completed_instant, -1);
 
   health.SetNow(4);
-  health.Observe("q", 4, /*ok=*/true, 500, 1, 1);
+  q->RecordStep(4, /*ok=*/true, 500, 1, 1);
   snapshot = Find(health.Snapshots(), "q");
   EXPECT_EQ(snapshot.error_streak, 0u);   // Reset by the success...
   EXPECT_EQ(snapshot.total_errors, 3u);   // ...but history is kept.
@@ -128,9 +138,9 @@ TEST(QueryHealthTest, ErrorStreakAccumulatesAndResets) {
 
 TEST(QueryHealthTest, StepLatencyPercentilesAreOrdered) {
   QueryHealth health;
-  health.Register("q", 0);
+  const auto q = Track(health, "q", 0);
   for (int i = 0; i < 100; ++i) {
-    health.Observe("q", 1, true, i < 99 ? 1000 : 1000000, 0, 0);
+    q->RecordStep(1, true, i < 99 ? 1000 : 1000000, 0, 0);
   }
   const auto snapshot = Find(health.Snapshots(), "q");
   EXPECT_GT(snapshot.p50_step_ns, 0u);
@@ -139,9 +149,9 @@ TEST(QueryHealthTest, StepLatencyPercentilesAreOrdered) {
 
 TEST(QueryHealthTest, ReRegisteringResetsTheEntry) {
   QueryHealth health;
-  health.Register("q", 0);
-  health.Observe("q", 1, false, 500, 0, 0);
-  health.Register("q", 2);
+  const auto q = Track(health, "q", 0);
+  q->RecordStep(1, false, 500, 0, 0);
+  health.Register("q", q, 2);
   const auto snapshot = Find(health.Snapshots(), "q");
   EXPECT_EQ(snapshot.error_streak, 0u);
   EXPECT_EQ(snapshot.total_errors, 0u);
@@ -238,6 +248,194 @@ TEST(QueryHealthExecutorTest, RowsInCountsASharedLeafOnce) {
 }
 
 // ---------------------------------------------------------------------------
+// Parity: every reader of the per-query runtime records sees the numbers
+// the statistics of a fixed script work out to by hand.
+// ---------------------------------------------------------------------------
+
+/// A `readings` stream fed four rows per tick — sensors s0..s3 with values
+/// (t + i) % 10 — read by `hot`, a σ over the stream's last instant, beside
+/// `doomed`, which fails every step.
+///
+/// By hand, over ticks 1..4: each window holds the 4 rows of its instant
+/// (16 rows in all); σ[value > 4] keeps 0, 1, 2 and 3 of them (6 in all).
+struct ParityScript {
+  ParityScript() : executor(&env, &streams) {
+    EXPECT_TRUE(streams
+                    .AddStream(ExtendedSchema::Create(
+                                   "readings", {{"sensor", DataType::kString},
+                                                {"value", DataType::kInt}})
+                                   .ValueOrDie())
+                    .ok());
+    executor.AddSource([this](Timestamp t) {
+      XDRelation* stream = streams.GetStream("readings").ValueOrDie();
+      for (int i = 0; i < 4; ++i) {
+        SERENA_RETURN_NOT_OK(stream->Append(
+            t, Tuple{Value::String("s" + std::to_string(i)),
+                     Value::Int((t + i) % 10)}));
+      }
+      return Status::OK();
+    });
+    EXPECT_TRUE(obs::RegisterMetaRelations(&env, &executor).ok());
+    EXPECT_TRUE(executor.Register(MakeQuery("hot", kHot)).ok());
+    EXPECT_TRUE(
+        executor.Register(MakeQuery("doomed", "select[value > 0](nosuch)"))
+            .ok());
+  }
+
+  static constexpr char kHot[] = "select[value > 4](window[1](readings))";
+
+  Environment env;
+  StreamStore streams;
+  ContinuousExecutor executor;
+};
+
+/// The row of `relation` whose column 0 is `key`.
+const Tuple* RowFor(const Environment& env, const std::string& relation,
+                    const std::string& key) {
+  for (const Tuple& row : (*env.GetRelation(relation))->tuples()) {
+    if (row[0].string_value() == key) return &row;
+  }
+  ADD_FAILURE() << "no row " << key << " in " << relation;
+  return nullptr;
+}
+
+TEST(QueryHealthParityTest, EveryReaderSeesTheHandComputedStatistics) {
+  obs::MetricsRegistry::Global().set_enabled(true);
+  obs::StatsStore& store = obs::StatsStore::Global();
+  store.Clear();
+
+  ParityScript script;
+  script.executor.Run(4);
+  const PlanPtr hot = (*script.executor.GetQuery("hot"))->plan();
+  const std::string select = obs::OperatorFingerprint(*hot);
+  const std::string window = obs::OperatorFingerprint(*hot->children()[0]);
+
+  // The statistics store.
+  const std::optional<obs::OperatorStats> select_stats = store.Find(select);
+  ASSERT_TRUE(select_stats.has_value());
+  EXPECT_EQ(select_stats->evals, 4u);
+  EXPECT_EQ(select_stats->rows_in, 16u);
+  EXPECT_EQ(select_stats->rows_out, 6u);
+  EXPECT_EQ(select_stats->errors, 0u);
+  const std::optional<obs::OperatorStats> window_stats = store.Find(window);
+  ASSERT_TRUE(window_stats.has_value());
+  EXPECT_EQ(window_stats->evals, 4u);
+  EXPECT_EQ(window_stats->rows_in, 0u);
+  EXPECT_EQ(window_stats->rows_out, 16u);
+  // The failing scan: evaluated every step, an error every time.
+  const PlanPtr doomed = (*script.executor.GetQuery("doomed"))->plan();
+  const std::optional<obs::OperatorStats> scan_stats =
+      store.Find(obs::OperatorFingerprint(*doomed->children()[0]));
+  ASSERT_TRUE(scan_stats.has_value());
+  EXPECT_EQ(scan_stats->evals, 4u);
+  EXPECT_EQ(scan_stats->errors, 4u);
+  EXPECT_EQ(scan_stats->rows_out, 0u);
+
+  // sys_operator_stats(fingerprint, op_kind, label, prototype, evals,
+  // rows_in, rows_out, wall_ns, invocations, memo_hits, errors,
+  // selectivity, memo_hit_rate).
+  ASSERT_TRUE(obs::RefreshMetaRelations(&script.env, &script.executor.health())
+                  .ok());
+  const Tuple* select_row =
+      RowFor(script.env, obs::kSysOperatorStatsRelation, select);
+  ASSERT_NE(select_row, nullptr);
+  EXPECT_EQ((*select_row)[1].string_value(), "select");
+  EXPECT_EQ((*select_row)[4].int_value(), 4);
+  EXPECT_EQ((*select_row)[5].int_value(), 16);
+  EXPECT_EQ((*select_row)[6].int_value(), 6);
+  EXPECT_EQ((*select_row)[10].int_value(), 0);
+  EXPECT_DOUBLE_EQ((*select_row)[11].real_value(), 0.375);
+  const Tuple* window_row =
+      RowFor(script.env, obs::kSysOperatorStatsRelation, window);
+  ASSERT_NE(window_row, nullptr);
+  EXPECT_EQ((*window_row)[6].int_value(), 16);
+  EXPECT_DOUBLE_EQ((*window_row)[11].real_value(), 1.0);
+
+  // sys_query_health(name, last_instant, lag, streak, errors, steps,
+  // p50_step_ns, p99_step_ns, rows_in_rate, rows_out_rate), by name.
+  const auto health = script.env.GetRelation(kSysQueryHealthRelation);
+  ASSERT_EQ((*health)->size(), 2u);
+  EXPECT_EQ((*health)->tuples()[0][0].string_value(), "doomed");
+  EXPECT_EQ((*health)->tuples()[1][0].string_value(), "hot");
+  const Tuple& hot_row = (*health)->tuples()[1];
+  EXPECT_EQ(hot_row[1].int_value(), 4);  // Stepped at the last tick...
+  EXPECT_EQ(hot_row[2].int_value(), 0);  // ...so it is not behind.
+  EXPECT_EQ(hot_row[3].int_value(), 0);
+  EXPECT_EQ(hot_row[4].int_value(), 0);
+  EXPECT_EQ(hot_row[5].int_value(), 4);
+  EXPECT_GT(hot_row[6].int_value(), 0);
+  EXPECT_GE(hot_row[7].int_value(), hot_row[6].int_value());
+  EXPECT_DOUBLE_EQ(hot_row[8].real_value(), 4.0);   // 16 rows / 4 steps.
+  EXPECT_DOUBLE_EQ(hot_row[9].real_value(), 1.5);   // 6 rows / 4 steps.
+  const Tuple& doomed_row = (*health)->tuples()[0];
+  EXPECT_EQ(doomed_row[1].int_value(), -1);
+  EXPECT_EQ(doomed_row[2].int_value(), 4);  // Behind since registration.
+  EXPECT_EQ(doomed_row[3].int_value(), 4);
+  EXPECT_EQ(doomed_row[4].int_value(), 4);
+  EXPECT_EQ(doomed_row[5].int_value(), 0);
+  EXPECT_DOUBLE_EQ(doomed_row[8].real_value(), 0.0);
+
+  // EXPLAIN ANALYZE of the standing query's plan, at instant 4: this
+  // evaluation's actuals (window 4 rows, σ keeps 3: values 5, 6, 7) and
+  // the store's observations including it (5 evals; σ 9 of 20 rows).
+  const std::string out =
+      ExplainAnalyzePlan(hot, &script.env, &script.streams);
+  std::string select_line;
+  std::string window_line;
+  for (std::size_t begin = 0, end; begin < out.size(); begin = end + 1) {
+    end = out.find('\n', begin);
+    if (end == std::string::npos) end = out.size();
+    const std::string line = out.substr(begin, end - begin);
+    if (line.rfind("select[value > 4]", 0) == 0) select_line = line;
+    if (line.find("window[1](readings)") != std::string::npos) {
+      window_line = line;
+    }
+  }
+  EXPECT_NE(select_line.find("(actual rows=3 "), std::string::npos) << out;
+  EXPECT_NE(select_line.find("(observed: evals=5 rows/eval=1.8 sel=0.450 "),
+            std::string::npos)
+      << out;
+  EXPECT_NE(window_line.find("(actual rows=4 "), std::string::npos) << out;
+  EXPECT_NE(window_line.find("(observed: evals=5 rows/eval=4.0 sel=1.000 "),
+            std::string::npos)
+      << out;
+  store.Clear();
+}
+
+TEST(QueryHealthParityTest, HealthMatchesWithMetricsOnAndOff) {
+  std::vector<QueryHealth::QuerySnapshot> runs[2];
+  for (const bool metrics : {true, false}) {
+    obs::MetricsRegistry::Global().set_enabled(metrics);
+    ParityScript script;
+    script.executor.Run(4);
+    runs[metrics ? 0 : 1] = script.executor.health().Snapshots();
+  }
+  obs::MetricsRegistry::Global().set_enabled(true);
+
+  ASSERT_EQ(runs[0].size(), 2u);
+  ASSERT_EQ(runs[1].size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const QueryHealth::QuerySnapshot& on = runs[0][i];
+    const QueryHealth::QuerySnapshot& off = runs[1][i];
+    EXPECT_EQ(on.name, off.name);
+    EXPECT_EQ(on.last_completed_instant, off.last_completed_instant);
+    EXPECT_EQ(on.lag, off.lag);
+    EXPECT_EQ(on.error_streak, off.error_streak);
+    EXPECT_EQ(on.total_errors, off.total_errors);
+    EXPECT_EQ(on.steps, off.steps);
+    EXPECT_EQ(on.rows_in, off.rows_in) << on.name;
+    EXPECT_EQ(on.rows_out, off.rows_out) << on.name;
+    EXPECT_DOUBLE_EQ(on.rows_in_rate, off.rows_in_rate);
+    EXPECT_DOUBLE_EQ(on.rows_out_rate, off.rows_out_rate);
+    // Step latency is recorded either way.
+    EXPECT_GT(off.p50_step_ns, 0u);
+  }
+  // By hand: the hot query's leaves emitted 16 rows and it emitted 6.
+  EXPECT_EQ(Find(runs[1], "hot").rows_in, 16u);
+  EXPECT_EQ(Find(runs[1], "hot").rows_out, 6u);
+}
+
+// ---------------------------------------------------------------------------
 // Meta-relations: the PEMS observing itself
 // ---------------------------------------------------------------------------
 
@@ -265,9 +463,9 @@ TEST(MetaRelationsTest, RefreshPopulatesMetricsAndHealthRows) {
   ASSERT_TRUE(obs::RegisterMetaRelations(&env, &executor).ok());
 
   QueryHealth health;
-  health.Register("watched", 0);
+  const auto watched = Track(health, "watched", 0);
   health.SetNow(2);
-  health.Observe("watched", 2, false, 1000, 0, 0);
+  watched->RecordStep(2, false, 1000, 0, 0);
   ASSERT_TRUE(obs::RefreshMetaRelations(&env, &health).ok());
 
   const auto metrics = env.GetRelation(kSysMetricsRelation);

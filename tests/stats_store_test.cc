@@ -2,23 +2,28 @@
 // plan instances, RecordPlan aggregation (including the rows_in
 // derivation from children), the JSON persistence roundtrip into the
 // baseline map, Clear() semantics, standing queries recording through
-// fingerprints computed once per plan, and the per-kind `serena.op.*`
-// counters agreeing with the store they are fed from.
+// fingerprints computed once per plan, the store's lifecycle beside live
+// per-query records (Clear, baselines, aliases, unregistration), steps
+// publishing on a pool beside concurrent readers, and the per-kind
+// `serena.op.*` counters agreeing with the store they are fed from.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algebra/plan.h"
 #include "algebra/vectorized.h"
 #include "ddl/algebra_parser.h"
 #include "obs/metrics.h"
+#include "common/thread_pool.h"
 #include "obs/stats.h"
 #include "stream/executor.h"
 
@@ -69,16 +74,16 @@ TEST_F(StatsStoreTest, RecordPlanAggregatesAndDerivesRowsIn) {
   const PlanNode* scan = plan->children()[0].get();
 
   StatsStore store;
-  PlanStatsCollector collector;
-  NodeRuntimeStats& scan_stats = collector.StatsFor(scan);
+  PlanStats collector(*plan);
+  NodeRuntimeStats& scan_stats = *collector.Find(scan);
   scan_stats.evals = 1;
   scan_stats.rows_out = 10;
   scan_stats.wall_ns = 500;
-  NodeRuntimeStats& select_stats = collector.StatsFor(select);
+  NodeRuntimeStats& select_stats = *collector.Find(select);
   select_stats.evals = 1;
   select_stats.rows_out = 4;
   select_stats.wall_ns = 1200;
-  store.RecordPlan(FingerprintPlan(*plan), collector);
+  store.RecordPlan(collector);
 
   ASSERT_EQ(store.size(), 2u);
   const std::optional<OperatorStats> sel =
@@ -102,13 +107,13 @@ TEST_F(StatsStoreTest, RecordPlanAggregatesAndDerivesRowsIn) {
   // A second evaluation of a structurally identical plan instance
   // accumulates into the same records.
   const PlanPtr again = MustParse("select[temperature > 30](readings)");
-  PlanStatsCollector second;
-  second.StatsFor(again->children()[0].get()).rows_out = 6;
-  second.StatsFor(again->children()[0].get()).evals = 1;
-  NodeRuntimeStats& top = second.StatsFor(again.get());
+  PlanStats second(*again);
+  second.Find(again->children()[0].get())->rows_out = 6;
+  second.Find(again->children()[0].get())->evals = 1;
+  NodeRuntimeStats& top = *second.Find(again.get());
   top.evals = 1;
   top.rows_out = 2;
-  store.RecordPlan(FingerprintPlan(*again), second);
+  store.RecordPlan(second);
 
   EXPECT_EQ(store.size(), 2u);
   const std::optional<OperatorStats> merged =
@@ -123,12 +128,12 @@ TEST_F(StatsStoreTest, RecordPlanAggregatesAndDerivesRowsIn) {
 TEST_F(StatsStoreTest, SnapshotOrdersByWallTime) {
   const PlanPtr plan = MustParse("select[n > 1](window[2](s))");
   StatsStore store;
-  PlanStatsCollector collector;
-  collector.StatsFor(plan.get()).wall_ns = 100;
-  collector.StatsFor(plan.get()).evals = 1;
-  collector.StatsFor(plan->children()[0].get()).wall_ns = 900;
-  collector.StatsFor(plan->children()[0].get()).evals = 1;
-  store.RecordPlan(FingerprintPlan(*plan), collector);
+  PlanStats collector(*plan);
+  collector.Find(plan.get())->wall_ns = 100;
+  collector.Find(plan.get())->evals = 1;
+  collector.Find(plan->children()[0].get())->wall_ns = 900;
+  collector.Find(plan->children()[0].get())->evals = 1;
+  store.RecordPlan(collector);
 
   const std::vector<OperatorStats> snapshot = store.Snapshot();
   ASSERT_GE(snapshot.size(), 2u);
@@ -139,16 +144,16 @@ TEST_F(StatsStoreTest, SnapshotOrdersByWallTime) {
 TEST_F(StatsStoreTest, JsonRoundtripIntoBaseline) {
   const PlanPtr plan = MustParse("select[temperature > 30](readings)");
   StatsStore store;
-  PlanStatsCollector collector;
-  collector.StatsFor(plan->children()[0].get()).rows_out = 8;
-  collector.StatsFor(plan->children()[0].get()).evals = 1;
-  NodeRuntimeStats& top = collector.StatsFor(plan.get());
+  PlanStats collector(*plan);
+  collector.Find(plan->children()[0].get())->rows_out = 8;
+  collector.Find(plan->children()[0].get())->evals = 1;
+  NodeRuntimeStats& top = *collector.Find(plan.get());
   top.evals = 3;
   top.rows_out = 5;
   top.wall_ns = 777;
   top.invocations = 4;
   top.memo_hits = 2;
-  store.RecordPlan(FingerprintPlan(*plan), collector);
+  store.RecordPlan(collector);
 
   const std::string json = store.ToJson();
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
@@ -176,10 +181,10 @@ TEST_F(StatsStoreTest, JsonRoundtripIntoBaseline) {
 TEST_F(StatsStoreTest, ClearDropsLiveRecordsButKeepsBaseline) {
   const PlanPtr plan = MustParse("window[3](s)");
   StatsStore store;
-  PlanStatsCollector collector;
-  collector.StatsFor(plan.get()).evals = 1;
-  collector.StatsFor(plan.get()).rows_out = 9;
-  store.RecordPlan(FingerprintPlan(*plan), collector);
+  PlanStats collector(*plan);
+  collector.Find(plan.get())->evals = 1;
+  collector.Find(plan.get())->rows_out = 9;
+  store.RecordPlan(collector);
   ASSERT_TRUE(store.LoadBaselineFromJson(store.ToJson()).ok());
 
   store.Clear();
@@ -196,10 +201,10 @@ TEST_F(StatsStoreTest, LoadBaselineRejectsMalformedJson) {
 }
 
 /// What recording `collector` renders and hashes from scratch — the
-/// per-step work `RecordPlan` did before fingerprints were precomputed:
+/// per-step work recording did before fingerprints were precomputed:
 /// every distinct node with evaluations, keyed by `OperatorFingerprint`.
 std::map<std::string, OperatorStats> RecomputeFromScratch(
-    const PlanPtr& root, const PlanStatsCollector& collector) {
+    const PlanPtr& root, const PlanStats& collector) {
   std::map<std::string, OperatorStats> expected;
   std::set<const PlanNode*> seen;
   std::function<void(const PlanPtr&)> visit = [&](const PlanPtr& node) {
@@ -274,7 +279,7 @@ TEST_F(StatsStoreTest, StandingQueryRecordsThroughFingerprintsComputedOnce) {
   // The plan holds no stateful operator (invoke, streaming), so evaluating
   // it again at each step's instant reproduces the actuals that step
   // recorded — an independent reference collector, accumulated over steps.
-  PlanStatsCollector reference;
+  PlanStats reference(*q.plan);
   q.query->set_sink([&](Timestamp t, const XRelation&) {
     EvalContext ctx;
     ctx.env = &q.env;
@@ -315,6 +320,129 @@ TEST_F(StatsStoreTest, StandingQueryRecordsThroughFingerprintsComputedOnce) {
   StatsStore::Global().Clear();
 }
 
+TEST_F(StatsStoreTest, ClearWhileAStandingQueryTicksKeepsItsSlots) {
+  MetricsRegistry::Global().set_enabled(true);
+  StatsStore& store = StatsStore::Global();
+  store.Clear();
+
+  SharedSubtreeQuery q;
+  ASSERT_TRUE(q.executor.Register(q.query).ok());
+  q.executor.Run(3);
+  const std::string shared = OperatorFingerprint(*q.shared);
+  const std::string root = OperatorFingerprint(*q.plan);
+  // Two paths reach the shared σ: two evals per step.
+  ASSERT_EQ(store.Find(shared)->evals, 6u);
+
+  // Loading a baseline leaves the live records alone.
+  ASSERT_TRUE(store.LoadBaselineFromJson(store.ToJson()).ok());
+  EXPECT_EQ(store.Find(shared)->evals, 6u);
+  EXPECT_EQ(store.FindBaseline(shared)->evals, 6u);
+
+  // Clear drops what was recorded, baseline and aliases aside; the
+  // query keeps publishing into the same slots and counts from zero.
+  store.AddFingerprintAlias("00000000000000aa", shared);
+  store.Clear();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(store.Find(shared).has_value());
+  EXPECT_EQ(store.alias_count(), 0u);
+  EXPECT_EQ(store.FindBaseline(shared)->evals, 6u);
+  q.executor.Run(2);
+  ASSERT_TRUE(q.executor.last_errors().empty());
+  EXPECT_EQ(store.Find(shared)->evals, 4u);
+  EXPECT_EQ(store.Find(root)->evals, 2u);
+  // An alias resolves to the live record.
+  store.AddFingerprintAlias("00000000000000aa", shared);
+  EXPECT_EQ(store.Find("00000000000000aa")->evals, 4u);
+
+  // Unregistering keeps what the query published; once no plan holds
+  // its slots, Clear deletes them, and a new query starts afresh.
+  const std::size_t live = store.size();
+  ASSERT_TRUE(q.executor.Unregister("q").ok());
+  q.query.reset();
+  EXPECT_EQ(store.size(), live);
+  EXPECT_EQ(store.Find(shared)->evals, 4u);
+  store.Clear();
+  EXPECT_EQ(store.size(), 0u);
+  ASSERT_TRUE(q.executor
+                  .Register(std::make_shared<ContinuousQuery>("again", q.plan))
+                  .ok());
+  q.executor.Run(1);
+  EXPECT_EQ(store.Find(shared)->evals, 2u);
+  EXPECT_EQ(store.Find(root)->evals, 1u);
+  store.Clear();
+}
+
+// Steps publishing on four pool threads while another thread reads the
+// store and the health records: every read is consistent enough to use
+// (no torn pointer, no lost update), and once the ticks end every count
+// is exact. Run under TSan in CI.
+TEST_F(StatsStoreTest, ParallelTicksBesideConcurrentReaders) {
+  MetricsRegistry::Global().set_enabled(true);
+  StatsStore& store = StatsStore::Global();
+  store.Clear();
+
+  SharedSubtreeQuery q;
+  ThreadPool pool(4);
+  q.executor.set_pool(&pool);
+  constexpr int kQueries = 48;
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(q.executor
+                    .Register(std::make_shared<ContinuousQuery>(
+                        "q" + std::to_string(i),
+                        MustParse("select[value > " + std::to_string(i % 6) +
+                                  "](window[" + std::to_string(1 + i % 2) +
+                                  "](readings))")))
+                    .ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::thread reader([&] {
+    const std::string window =
+        OperatorFingerprint(*MustParse("window[1](readings)"));
+    while (!done.load()) {
+      for (const OperatorStats& op : store.Snapshot()) {
+        EXPECT_GT(op.evals, 0u);
+      }
+      (void)store.Find(window);
+      (void)store.size();
+      (void)store.ToJson();
+      for (const QueryHealth::QuerySnapshot& health :
+           q.executor.health().Snapshots()) {
+        EXPECT_LE(health.steps, 10u);
+      }
+      ++reads;
+    }
+  });
+  // Tick once the reader is under way.
+  while (reads.load() == 0) std::this_thread::yield();
+  constexpr int kTicks = 10;
+  q.executor.Run(kTicks);
+  done.store(true);
+  reader.join();
+  EXPECT_GT(reads, 0u);
+
+  ASSERT_TRUE(q.executor.last_errors().empty());
+  // Six distinct plans (the window follows the threshold's parity), each
+  // shared by eight queries: 8 evals per tick.
+  for (int i = 0; i < 6; ++i) {
+    const PlanPtr plan =
+        MustParse("select[value > " + std::to_string(i % 6) + "](window[" +
+                  std::to_string(1 + i % 2) + "](readings))");
+    const std::optional<OperatorStats> op =
+        store.Find(OperatorFingerprint(*plan));
+    ASSERT_TRUE(op.has_value()) << plan->ToString();
+    EXPECT_EQ(op->evals, 8u * kTicks) << plan->ToString();
+  }
+  for (const QueryHealth::QuerySnapshot& health :
+       q.executor.health().Snapshots()) {
+    EXPECT_EQ(health.steps, static_cast<std::uint64_t>(kTicks))
+        << health.name;
+    EXPECT_EQ(health.error_streak, 0u);
+  }
+  store.Clear();
+}
+
 class VecModeGuard {
  public:
   explicit VecModeGuard(bool enabled) { vec::SetEnabledForTesting(enabled); }
@@ -350,6 +478,10 @@ TEST_P(OperatorViewsTest, OpCountersEqualStatsStoreSumsPerKind) {
   }
 
   SharedSubtreeQuery q;
+  // Steps run side by side on four threads, publishing into shared
+  // records and counters at once.
+  ThreadPool pool(4);
+  q.executor.set_pool(&pool);
   ASSERT_TRUE(q.executor.Register(q.query).ok());
   // A γ-rooted query: in the vectorized core γ folds its σ(window)
   // pipeline, whose stages reach the store through the pipeline flush.
@@ -360,6 +492,16 @@ TEST_P(OperatorViewsTest, OpCountersEqualStatsStoreSumsPerKind) {
                                 "-> mean](select[value > 1](window[2]("
                                 "readings)))")))
                   .ok());
+  // Sixteen more, pairwise sharing their operators' records.
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(q.executor
+                    .Register(std::make_shared<ContinuousQuery>(
+                        "fleet" + std::to_string(i),
+                        MustParse("select[value > " + std::to_string(i % 8) +
+                                  "](window[" + std::to_string(1 + i % 3) +
+                                  "](readings))")))
+                    .ok());
+  }
   q.executor.Run(5);
   ASSERT_TRUE(q.executor.last_errors().empty());
 

@@ -406,5 +406,40 @@ TEST(FlatTupleIndexTest, FindOrInsertMatchesKeysInPlace) {
   EXPECT_EQ(groups.size(), 3u);
 }
 
+TEST(FlatTupleIndexTest, HitsNeverGrowTheTable) {
+  // 8 entries fill 16 slots to the 50% bound: looking any of them up
+  // again must leave the slot array alone; only a 9th key grows it.
+  std::vector<Tuple> stored;
+  FlatTupleIndex index;
+  const auto at = [&](std::size_t p) -> const Tuple& { return stored[p]; };
+  for (int i = 0; i < 8; ++i) {
+    stored.push_back(Tuple{Value::Int(i)});
+    ASSERT_TRUE(index.Insert(stored.back(), stored.back().Hash(),
+                             stored.size() - 1, at));
+  }
+  ASSERT_EQ(index.capacity(), 16u);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      const Tuple probe{Value::Int(i)};
+      const auto [position, inserted] = index.FindOrInsert(
+          probe.Hash(), stored.size(),
+          [&](std::size_t p) { return stored[p] == probe; });
+      EXPECT_FALSE(inserted);
+      EXPECT_EQ(position, static_cast<std::size_t>(i));
+      EXPECT_FALSE(index.Insert(probe, probe.Hash(), stored.size(), at));
+    }
+  }
+  EXPECT_EQ(index.capacity(), 16u);
+  EXPECT_EQ(index.size(), 8u);
+
+  stored.push_back(Tuple{Value::Int(8)});
+  ASSERT_TRUE(index.Insert(stored.back(), stored.back().Hash(), 8, at));
+  EXPECT_EQ(index.capacity(), 32u);
+  for (int i = 0; i <= 8; ++i) {
+    EXPECT_EQ(index.Find(Tuple{Value::Int(i)}, Tuple{Value::Int(i)}.Hash(), at),
+              static_cast<std::size_t>(i));
+  }
+}
+
 }  // namespace
 }  // namespace serena
