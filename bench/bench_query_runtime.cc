@@ -9,12 +9,16 @@
 // identical fleets tick the same instants over the same data, one with
 // metrics on and one with them off, so any allocation the statistics and
 // health path makes shows up as a difference between them (expected: 0).
-// The microbenchmarks time one tick of the fleet, metrics on and off,
-// serial and on 3 pool threads.
+// It then attributes a step's allocations to each query shape, split into
+// the one-time build of the query's fused pipelines (a fresh copy's first
+// step less a warm copy's step at the same instant) and the run every
+// step pays. The microbenchmarks time one tick of the fleet, metrics on
+// and off, serial and on 3 pool threads.
 //
 //   ./build/bench/bench_query_runtime
 //   ./build/bench/bench_query_runtime --benchmark_filter=BM_FleetTick
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -23,6 +27,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/hash.h"
@@ -84,6 +89,13 @@ constexpr int kStreams = 32;
 constexpr int kQueries = 512;
 constexpr int kRowsPerStream = 4;
 
+/// The fleet's query shapes.
+enum Shape { kSelect, kProjectSelect, kAggregate, kJoin, kHealth, kShapes };
+
+const char* const kShapeNames[kShapes] = {
+    "select(window)", "project(select(window))", "aggregate(window)",
+    "join(select(window), zones)", "project(select(sys_query_health))"};
+
 const char* const kAreas[] = {"office", "kitchen", "roof",     "lobby",
                               "garage", "corridor", "lab",     "hall"};
 
@@ -121,40 +133,46 @@ struct Fleet {
     executor.AddSource([this](Timestamp t) { return Feed(t); });
 
     Register("failing",
-             "project[name, streak](select[streak >= 3](sys_query_health))");
+             "project[name, streak](select[streak >= 3](sys_query_health))",
+             kHealth);
     Register("stalled",
-             "project[name, lag](select[lag >= 3](sys_query_health))");
+             "project[name, lag](select[lag >= 3](sys_query_health))",
+             kHealth);
     Register("stepping",
-             "project[name, steps](select[steps >= 0](sys_query_health))");
+             "project[name, steps](select[steps >= 0](sys_query_health))",
+             kHealth);
     for (int i = 0; i < kQueries - 3; ++i) {
       const std::string window = "window[" + std::to_string(1 + i % 4) + "](" +
                                  StreamName(i % kStreams) + ")";
       const std::string threshold = std::to_string(10 * (1 + i % 9));
+      const auto shape = static_cast<Shape>((i / kStreams) % 4);
       std::string algebra;
-      switch ((i / kStreams) % 4) {
-        case 0:
+      switch (shape) {
+        case kSelect:
           algebra = "select[load > " + threshold + "](" + window + ")";
           break;
-        case 1:
+        case kProjectSelect:
           algebra = "project[area, load](select[battery > " + threshold +
                     "](" + window + "))";
           break;
-        case 2:
+        case kAggregate:
           algebra = "aggregate[area; count() -> n](" + window + ")";
           break;
         default:
           algebra = "join(select[load > " + threshold + "](" + window +
                     "), zones)";
       }
-      Register("q" + std::to_string(i), algebra);
+      Register("q" + std::to_string(i), algebra, shape);
     }
   }
 
-  void Register(const std::string& name, const std::string& algebra) {
-    SERENA_CHECK(executor
-                     .Register(std::make_shared<ContinuousQuery>(
-                         name, ParseAlgebra(algebra).ValueOrDie()))
-                     .ok());
+  void Register(const std::string& name, const std::string& algebra,
+                Shape shape) {
+    auto query = std::make_shared<ContinuousQuery>(
+        name, ParseAlgebra(algebra).ValueOrDie());
+    shapes.push_back(shape);
+    queries.push_back(query);
+    SERENA_CHECK(executor.Register(std::move(query)).ok());
   }
 
   /// Four rows per stream per instant, a function of (t, stream, row).
@@ -180,6 +198,9 @@ struct Fleet {
   StreamStore streams;
   ContinuousExecutor executor;
   ThreadPool pool;
+  /// Every registered query and its shape, in registration order.
+  std::vector<ContinuousQueryPtr> queries;
+  std::vector<Shape> shapes;
 };
 
 void SetMetrics(bool on) { obs::MetricsRegistry::Global().set_enabled(on); }
@@ -228,6 +249,101 @@ void ReproduceStepAllocations() {
                      "allocations");
 }
 
+/// Steps a copy of each fleet query at every instant, once its sources
+/// have fed it and before the fleet's own steps: a warm copy, whose
+/// pipelines were prepared at an earlier instant, and a fresh copy, whose
+/// first step prepares them. Each step is counted on its own.
+class ShapeProbe : public TickObserver {
+ public:
+  explicit ShapeProbe(Fleet& fleet) : fleet_(fleet) {
+    for (const ContinuousQueryPtr& query : fleet.queries) {
+      warm_.push_back(
+          std::make_unique<ContinuousQuery>(query->name(), query->plan()));
+    }
+  }
+
+  void OnSourcesDone(Timestamp now) override {
+    for (std::size_t i = 0; i < warm_.size(); ++i) {
+      ContinuousQuery& warm = *warm_[i];
+      if (!measuring_) {  // Warming up: prepares the warm copy.
+        CountedStep(warm, now);
+        continue;
+      }
+      const Shape shape = fleet_.shapes[i];
+      ContinuousQuery fresh(warm.name(), warm.plan());
+      first_[shape] += CountedStep(fresh, now);
+      const std::uint64_t builds = warm.runtime()->pipelines().builds();
+      steady_[shape] += CountedStep(warm, now);
+      warm_builds_ += warm.runtime()->pipelines().builds() - builds;
+      ++steps_[shape];
+    }
+  }
+
+  /// Starts counting: the warm copies are prepared by now.
+  void StartMeasuring() { measuring_ = true; }
+
+  double First(Shape shape) const { return PerStep(first_, shape); }
+  double Steady(Shape shape) const { return PerStep(steady_, shape); }
+  std::uint64_t steps(Shape shape) const { return steps_[shape]; }
+  /// Pipelines the warm copies prepared while measured: 0 when every
+  /// steady-state step only rebinds and runs.
+  std::uint64_t warm_builds() const { return warm_builds_; }
+
+ private:
+  std::uint64_t CountedStep(ContinuousQuery& query, Timestamp now) {
+    const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+    SERENA_CHECK(query.Step(&fleet_.env, &fleet_.streams, now).ok());
+    return allocations.load(std::memory_order_relaxed) - before;
+  }
+
+  double PerStep(const std::array<std::uint64_t, kShapes>& counts,
+                 Shape shape) const {
+    return steps_[shape] == 0 ? 0.0
+                              : static_cast<double>(counts[shape]) /
+                                    static_cast<double>(steps_[shape]);
+  }
+
+  Fleet& fleet_;
+  std::vector<std::unique_ptr<ContinuousQuery>> warm_;
+  bool measuring_ = false;
+  std::array<std::uint64_t, kShapes> first_{};
+  std::array<std::uint64_t, kShapes> steady_{};
+  std::array<std::uint64_t, kShapes> steps_{};
+  std::uint64_t warm_builds_ = 0;
+};
+
+/// Allocations per step of each query shape: the one-time build of its
+/// pipelines and the run every step pays.
+void ReproduceShapeAllocations() {
+  if (!SERENA_COUNT_ALLOCATIONS) return;
+  bench::PrintSection("allocations per step by query shape");
+  Fleet fleet(0);
+  ShapeProbe probe(fleet);
+  fleet.executor.AddTickObserver(&probe);
+  for (int i = 0; i < 24; ++i) fleet.executor.Tick();
+  probe.StartMeasuring();
+  for (int i = 0; i < 32; ++i) fleet.executor.Tick();
+  fleet.executor.RemoveTickObserver(&probe);
+
+  std::printf("%-36s %7s %8s %8s %8s\n", "shape", "steps", "first", "build",
+              "run");
+  for (int s = 0; s < kShapes; ++s) {
+    const auto shape = static_cast<Shape>(s);
+    const double build = probe.First(shape) - probe.Steady(shape);
+    std::printf("%-36s %7llu %8.3f %8.3f %8.3f\n", kShapeNames[s],
+                static_cast<unsigned long long>(probe.steps(shape)),
+                probe.First(shape), build, probe.Steady(shape));
+    bench::RecordRepro(std::string("run_allocations_per_step.") +
+                           kShapeNames[s],
+                       probe.Steady(shape), "allocations");
+  }
+  std::printf("pipelines built by steady-state steps: %llu (build "
+              "allocations per steady-state step: 0)\n",
+              static_cast<unsigned long long>(probe.warm_builds()));
+  bench::RecordRepro("steady_state_pipeline_builds",
+                     static_cast<double>(probe.warm_builds()), "pipelines");
+}
+
 /// One tick of the fleet; arg 0: metrics on (1) or off (0); arg 1: pool
 /// threads (0 = serial).
 void BM_FleetTick(benchmark::State& state) {
@@ -253,5 +369,8 @@ BENCHMARK(BM_FleetTick)
 
 int main(int argc, char** argv) {
   return serena::bench::RunReproAndBenchmarks(
-      argc, argv, [] { serena::ReproduceStepAllocations(); });
+      argc, argv, [] {
+        serena::ReproduceStepAllocations();
+        serena::ReproduceShapeAllocations();
+      });
 }

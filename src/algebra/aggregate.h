@@ -102,6 +102,14 @@ class Aggregator {
   template <typename InputAt>
   void Accumulate(std::size_t group, const InputAt& input);
 
+  /// Forgets every group, keeping the storage for the next fold (a
+  /// prepared pipeline folds into the same aggregator at every instant).
+  void Reset() {
+    keys_.clear();
+    cells_.clear();
+    groups_.Clear();
+  }
+
   /// The aggregated relation: one row per group, ordered by
   /// `Tuple::operator<` on the keys (NaN, which that order leaves
   /// unordered, sorts after every number, and NaN-keyed groups keep their

@@ -22,7 +22,7 @@
 namespace serena {
 
 namespace vec {
-class BatchPool;
+class PipelineCache;
 }  // namespace vec
 
 class PlanNode;
@@ -118,6 +118,14 @@ class PlanStats {
     return nodes_[ordinal].node;
   }
 
+  /// What `OrdinalOf` returns for a node outside the plan.
+  static constexpr std::size_t kNotInPlan = static_cast<std::size_t>(-1);
+  /// `node`'s ordinal, or kNotInPlan.
+  std::size_t OrdinalOf(const PlanNode* node) const {
+    const std::uint32_t ordinal = Ordinal(node);
+    return ordinal == kNoOrdinal ? kNotInPlan : ordinal;
+  }
+
   NodeRuntimeStats& at(std::size_t ordinal) { return stats_[ordinal]; }
   const NodeRuntimeStats& at(std::size_t ordinal) const {
     return stats_[ordinal];
@@ -187,10 +195,12 @@ struct EvalContext {
   /// (nullptr = `ThreadPool::Shared()`). Evaluation results are
   /// deterministic regardless of the pool.
   ThreadPool* pool = nullptr;
-  /// Optional: reusable batch storage for the vectorized execution core
-  /// (nullptr = a per-pipeline scratch pool). A continuous query owns one
-  /// so its steady-state batch loop is allocation-free across ticks.
-  vec::BatchPool* batch_pool = nullptr;
+  /// Optional: where the vectorized core keeps the fused pipelines it
+  /// prepares, indexed by the ordinals of `stats` (nullptr = each
+  /// pipeline is a temporary, prepared and run once). A standing query's
+  /// runtime record owns one, so its steps rebind and run pipelines
+  /// prepared at its first step instead of rebuilding them.
+  vec::PipelineCache* pipelines = nullptr;
   /// Optional collector for input tuples whose invocation failed under
   /// `kSkipTuple` (the §4.2 retry set; surfaced by the flight recorder).
   std::vector<Tuple>* failed_tuples = nullptr;

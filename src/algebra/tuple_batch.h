@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -22,8 +21,9 @@ namespace vec {
 ///
 /// Lifetime contract: a batch's rows — and any pointers borrowed from
 /// them — are valid until the producing cursor's next `Next()` call.
-/// Batches are acquired from a `BatchPool` and reused across calls, so
-/// the steady-state hot loop performs no allocations.
+/// Each cursor owns its output batch and refills it on every call; a
+/// prepared pipeline keeps its cursors across runs, so a standing query's
+/// steady-state batch loop performs no allocations.
 class TupleBatch {
  public:
   void Clear() {
@@ -81,41 +81,6 @@ class TupleBatch {
   std::vector<const Tuple*> refs_;
   std::vector<std::uint64_t> hashes_;  // Parallel to refs_; 0 = unknown.
   std::vector<Tuple> owned_;
-};
-
-/// Reusable batch storage for one evaluation context. Cursors acquire
-/// batches at pipeline-build time; when a pipeline finishes it releases
-/// back to the mark it started from (pipelines nest: an opaque operator
-/// inside one pipeline may run an inner pipeline over the same pool).
-/// The pool keeps every batch's capacity, so a continuous query's steady
-/// state — the same plan evaluated every tick against a pool owned by
-/// the query — runs its batch loop allocation-free.
-///
-/// Not thread-safe; each concurrently-stepped query owns its own pool.
-class BatchPool {
- public:
-  TupleBatch* Acquire() {
-    if (in_use_ == batches_.size()) {
-      batches_.push_back(std::make_unique<TupleBatch>());
-    }
-    TupleBatch* batch = batches_[in_use_++].get();
-    batch->Clear();
-    return batch;
-  }
-
-  /// Position to restore to once the pipeline holding batches above it
-  /// completes.
-  std::size_t Mark() const { return in_use_; }
-  void ReleaseToMark(std::size_t mark) {
-    if (mark < in_use_) in_use_ = mark;
-  }
-
-  /// Batches ever allocated (capacity telemetry).
-  std::size_t allocated() const { return batches_.size(); }
-
- private:
-  std::vector<std::unique_ptr<TupleBatch>> batches_;
-  std::size_t in_use_ = 0;
 };
 
 }  // namespace vec

@@ -135,6 +135,11 @@ const VecInstruments& VectorizeInstruments() {
 /// distinctness), so interior row counts match the scalar path, the
 /// terminal collect's dedup is belt-and-braces, and γ's terminal fold may
 /// aggregate the rows as the set they are.
+///
+/// A cursor is built once (`Prepare`) and run many times (`Run`): a run
+/// first `Rebind`s the leaves to this instant's inputs and ends with
+/// `Reset`, which returns the cursor to its prepared state and frees
+/// whatever the run held in proportion to its rows.
 class Cursor {
  public:
   Cursor(const PlanNode* node, ExtendedSchemaPtr schema, bool native)
@@ -158,7 +163,7 @@ class Cursor {
 
   /// Full-output shortcut for consumers that need the whole relation at
   /// once (the join build/probe sides). A nullptr *value* means the stage
-  /// has no materialized form — the consumer then drains `Next` instead.
+  /// has no materialized form — the consumer then collects it instead.
   Result<const XRelation*> Materialize(EvalContext& ctx) {
     Result<const XRelation*> relation = MaterializeImpl(ctx);
     if (!relation.ok()) {
@@ -171,12 +176,37 @@ class Cursor {
     return relation;
   }
 
+  /// Drains the stage into `out`: the pipeline's terminal collect, and
+  /// the join sides without a materialized form.
+  Status CollectInto(XRelation* out, EvalContext& ctx) {
+    started = true;
+    Status status = CollectImpl(out, ctx);
+    if (!status.ok()) failed = true;
+    return status;
+  }
+
+  /// Points a leaf at this run's input. False when the input is gone or
+  /// no longer has the schema the pipeline was prepared against: the
+  /// pipeline must then be rebuilt.
+  virtual bool Rebind(EvalContext& /*ctx*/) { return true; }
+
+  /// Returns the cursor to its prepared state after a run.
+  void Reset() {
+    started = false;
+    failed = false;
+    rows_out = 0;
+    batches_out = 0;
+    ResetImpl();
+  }
+
   const PlanNode* node;
   ExtendedSchemaPtr schema;
   /// True when this cursor *is* a fused plan node (the pipeline flushes
   /// its stats); false for opaque stages, whose own `Evaluate` wrapper
   /// already accounted for them.
   bool native;
+  /// `node`'s ordinal in the `PlanStats` the pipeline records into.
+  std::size_t ordinal = PlanStats::kNotInPlan;
   bool started = false;
   bool failed = false;
   std::uint64_t rows_out = 0;
@@ -187,34 +217,31 @@ class Cursor {
   virtual Result<const XRelation*> MaterializeImpl(EvalContext& /*ctx*/) {
     return {nullptr};
   }
+  /// Drains `Next` into `out`. Owned rows (α/⋈ output) are moved in;
+  /// borrowed rows are copied, inserted with their carried hash when the
+  /// producer knew it.
+  virtual Status CollectImpl(XRelation* out, EvalContext& ctx);
+  virtual void ResetImpl() {}
 };
 
-/// Drains `cursor` into a fresh relation: the pipeline's terminal collect,
-/// and the join sides without a materialized form. Owned rows (α/⋈
-/// output) are moved in; borrowed rows are copied, inserted with their
-/// carried hash when the producer knew it. The relation grows
-/// geometrically — reserving each batch's exact size would re-reserve the
-/// tuples and rehash the index on every batch.
-Result<XRelation> Collect(Cursor* cursor, EvalContext& ctx) {
-  XRelation out(cursor->schema);
+Status Cursor::CollectImpl(XRelation* out, EvalContext& ctx) {
   for (;;) {
-    SERENA_ASSIGN_OR_RETURN(TupleBatch* batch, cursor->Next(ctx));
-    if (batch == nullptr) break;
+    SERENA_ASSIGN_OR_RETURN(TupleBatch* batch, Next(ctx));
+    if (batch == nullptr) return Status::OK();
     if (batch->owning()) {
       for (std::size_t i = 0; i < batch->size(); ++i) {
-        out.InsertUnchecked(batch->TakeOwned(i));
+        out->InsertUnchecked(batch->TakeOwned(i));
       }
       continue;
     }
     for (std::size_t i = 0; i < batch->size(); ++i) {
       if (const std::uint64_t hash = batch->hash_at(i); hash != 0) {
-        out.InsertHashed(batch->at(i), hash);
+        out->InsertHashed(batch->at(i), hash);
       } else {
-        out.InsertUnchecked(batch->at(i));
+        out->InsertUnchecked(batch->at(i));
       }
     }
   }
-  return out;
 }
 
 /// Drains `cursor` into γ's aggregator: the pipeline's terminal when γ is
@@ -247,33 +274,42 @@ Result<XRelation> Fold(Cursor* cursor, Aggregator* aggregator,
 /// made until the pipeline's terminal collect.
 class ScanCursor final : public Cursor {
  public:
-  ScanCursor(const PlanNode* node, const XRelation* relation,
-             TupleBatch* out, std::size_t batch_size)
-      : Cursor(node, relation->schema_ptr(), /*native=*/true),
-        relation_(relation),
-        out_(out),
+  ScanCursor(const ScanNode* node, ExtendedSchemaPtr schema,
+             std::size_t batch_size)
+      : Cursor(node, std::move(schema), /*native=*/true),
         batch_size_(batch_size) {}
+
+  bool Rebind(EvalContext& ctx) override {
+    if (ctx.env == nullptr) return false;
+    Result<const XRelation*> relation = ctx.env->GetRelation(
+        static_cast<const ScanNode*>(node)->relation());
+    if (!relation.ok() || (*relation)->schema_ptr() != schema) return false;
+    relation_ = *relation;
+    return true;
+  }
 
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& /*ctx*/) override {
     const std::vector<Tuple>& tuples = relation_->tuples();
     if (pos_ >= tuples.size()) return {nullptr};
-    out_->Clear();
+    out_.Clear();
     const std::size_t n = std::min(batch_size_, tuples.size() - pos_);
     for (std::size_t i = 0; i < n; ++i) {
-      out_->AppendRef(&tuples[pos_ + i]);
+      out_.AppendRef(&tuples[pos_ + i]);
     }
     pos_ += n;
-    return {out_};
+    return {&out_};
   }
 
   Result<const XRelation*> MaterializeImpl(EvalContext& /*ctx*/) override {
     return {relation_};
   }
 
+  void ResetImpl() override { pos_ = 0; }
+
  private:
-  const XRelation* relation_;
-  TupleBatch* out_;
+  const XRelation* relation_ = nullptr;
+  TupleBatch out_;
   std::size_t batch_size_;
   std::size_t pos_ = 0;
 };
@@ -284,46 +320,96 @@ class ScanCursor final : public Cursor {
 /// cursor see exactly the scalar window's X-Relation sequence. Each ref
 /// carries the entry's append-time content hash, so neither this dedup
 /// nor the terminal collect re-hashes a stream tuple.
+///
+/// The slice is read on the first pull of a run, into one exactly sized
+/// allocation that is deduplicated in place, and freed when the run ends:
+/// a window holds no row-sized storage between instants.
 class WindowCursor final : public Cursor {
  public:
-  WindowCursor(const PlanNode* node, ExtendedSchemaPtr schema,
-               std::vector<HashedTupleRef> kept, TupleBatch* out,
+  WindowCursor(const WindowNode* node, ExtendedSchemaPtr schema,
                std::size_t batch_size)
       : Cursor(node, std::move(schema), /*native=*/true),
-        kept_(std::move(kept)),
-        out_(out),
         batch_size_(batch_size) {}
 
+  bool Rebind(EvalContext& ctx) override {
+    if (ctx.streams == nullptr) return false;
+    Result<XDRelation*> stream = ctx.streams->GetStream(window().stream());
+    if (!stream.ok() || (*stream)->schema_ptr() != schema) return false;
+    stream_ = *stream;
+    return true;
+  }
+
  protected:
-  Result<TupleBatch*> NextImpl(EvalContext& /*ctx*/) override {
+  Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
+    if (!loaded_) Load(ctx.instant);
     if (pos_ >= kept_.size()) return {nullptr};
-    out_->Clear();
+    out_.Clear();
     const std::size_t n = std::min(batch_size_, kept_.size() - pos_);
     for (std::size_t i = 0; i < n; ++i) {
       const HashedTupleRef& ref = kept_[pos_ + i];
-      out_->AppendRef(ref.tuple, ref.hash);
+      out_.AppendRef(ref.tuple, ref.hash);
     }
     pos_ += n;
-    return {out_};
+    return {&out_};
+  }
+
+  void ResetImpl() override {
+    std::vector<HashedTupleRef>().swap(kept_);
+    loaded_ = false;
+    pos_ = 0;
   }
 
  private:
-  std::vector<HashedTupleRef> kept_;
-  TupleBatch* out_;
+  const WindowNode& window() const {
+    return *static_cast<const WindowNode*>(node);
+  }
+
+  /// Reads the slice at `instant` and keeps the first occurrence of each
+  /// tuple, exactly like the scalar window's insertions into its
+  /// X-Relation, on the same flat index. The entries carry their
+  /// append-time hashes, so no tuple is hashed here.
+  void Load(Timestamp instant) {
+    loaded_ = true;
+    if (window().mode() == WindowMode::kTime) {
+      stream_->CollectInsertedDuring(instant - window().period(), instant,
+                                     &kept_);
+    } else {
+      stream_->CollectLastInserted(
+          static_cast<std::size_t>(window().period()), instant, &kept_);
+    }
+    FlatTupleIndex seen;
+    seen.Reserve(kept_.size());
+    const auto kept_at = [this](std::size_t position) -> const Tuple& {
+      return *kept_[position].tuple;
+    };
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < kept_.size(); ++i) {
+      const HashedTupleRef ref = kept_[i];
+      if (seen.Insert(*ref.tuple, ref.hash, distinct, kept_at)) {
+        kept_[distinct++] = ref;
+      }
+    }
+    kept_.resize(distinct);
+  }
+
+  const XDRelation* stream_ = nullptr;
+  TupleBatch out_;
   std::size_t batch_size_;
+  std::vector<HashedTupleRef> kept_;
+  bool loaded_ = false;
   std::size_t pos_ = 0;
 };
 
 /// Any non-fusable stage (set ops, β, S, a γ below the root, …):
 /// evaluated once through the normal `Evaluate` wrapper — which records
 /// its stats and may itself vectorize subtrees below it — then served in
-/// borrowed batches.
+/// borrowed batches. A pipeline holding one is never kept: the schema it
+/// was built with came from `InferSchema`, which reads the environment.
 class OpaqueCursor final : public Cursor {
  public:
   OpaqueCursor(const PlanNode* node, ExtendedSchemaPtr schema,
-               TupleBatch* out, std::size_t batch_size)
+               std::size_t batch_size)
       : Cursor(node, std::move(schema), /*native=*/false),
-        out_(out),
         batch_size_(batch_size) {}
 
  protected:
@@ -331,18 +417,23 @@ class OpaqueCursor final : public Cursor {
     SERENA_RETURN_NOT_OK(EvaluateOnce(ctx));
     const std::vector<Tuple>& tuples = evaluated_->tuples();
     if (pos_ >= tuples.size()) return {nullptr};
-    out_->Clear();
+    out_.Clear();
     const std::size_t n = std::min(batch_size_, tuples.size() - pos_);
     for (std::size_t i = 0; i < n; ++i) {
-      out_->AppendRef(&tuples[pos_ + i]);
+      out_.AppendRef(&tuples[pos_ + i]);
     }
     pos_ += n;
-    return {out_};
+    return {&out_};
   }
 
   Result<const XRelation*> MaterializeImpl(EvalContext& ctx) override {
     SERENA_RETURN_NOT_OK(EvaluateOnce(ctx));
     return {&*evaluated_};
+  }
+
+  void ResetImpl() override {
+    evaluated_.reset();
+    pos_ = 0;
   }
 
  private:
@@ -353,7 +444,7 @@ class OpaqueCursor final : public Cursor {
     return Status::OK();
   }
 
-  TupleBatch* out_;
+  TupleBatch out_;
   std::size_t batch_size_;
   std::optional<XRelation> evaluated_;
   std::size_t pos_ = 0;
@@ -361,9 +452,10 @@ class OpaqueCursor final : public Cursor {
 
 /// σ_F: evaluates the formula per row and forwards survivors as a
 /// selection vector (borrowed pointers) — no copies, no materialization.
-/// The formula is compiled once at pipeline-build time (coordinates
-/// resolved, constants captured), so the per-row cost is one comparison
-/// on value references — the amortization that makes batching pay.
+/// The formula is compiled once, when the pipeline is prepared
+/// (coordinates resolved, constants captured), so the per-row cost is one
+/// comparison on value references — the amortization that makes
+/// batching pay.
 ///
 /// Formulas that are pure conjunctions of comparisons — the common shape
 /// after the merge-selections rewrite folds a σ-chain into one σ — take
@@ -374,12 +466,11 @@ class FilterCursor final : public Cursor {
  public:
   FilterCursor(const PlanNode* node, ExtendedSchemaPtr schema, Cursor* child,
                std::vector<CompiledComparison> conjuncts,
-               TuplePredicate predicate, TupleBatch* out)
+               TuplePredicate predicate)
       : Cursor(node, std::move(schema), /*native=*/true),
         child_(child),
         conjuncts_(std::move(conjuncts)),
-        predicate_(std::move(predicate)),
-        out_(out) {}
+        predicate_(std::move(predicate)) {}
 
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
@@ -388,7 +479,7 @@ class FilterCursor final : public Cursor {
     for (;;) {
       SERENA_ASSIGN_OR_RETURN(const TupleBatch* in, child_->Next(ctx));
       if (in == nullptr) return {nullptr};
-      out_->Clear();
+      out_.Clear();
       for (std::size_t i = 0; i < in->size(); ++i) {
         const Tuple& t = in->at(i);
         bool keep = true;
@@ -403,9 +494,9 @@ class FilterCursor final : public Cursor {
         } else {
           SERENA_ASSIGN_OR_RETURN(keep, predicate_(t));
         }
-        if (keep) out_->AppendRef(&t, in->hash_at(i));
+        if (keep) out_.AppendRef(&t, in->hash_at(i));
       }
-      if (!out_->empty()) return {out_};
+      if (!out_.empty()) return {&out_};
     }
   }
 
@@ -414,7 +505,7 @@ class FilterCursor final : public Cursor {
   // Flattened-conjunction fast path; when empty, predicate_ decides.
   std::vector<CompiledComparison> conjuncts_;
   TuplePredicate predicate_;
-  TupleBatch* out_;
+  TupleBatch out_;
 };
 
 /// π_Y: projects each row and deduplicates the output stream (projection
@@ -423,42 +514,72 @@ class FilterCursor final : public Cursor {
 /// borrows the stored first occurrences (a deque, so references survive
 /// later insertions) with their hashes, so each output row is
 /// materialized and hashed once.
+///
+/// When π's output is collected (at a pipeline's root, or as a join
+/// side) it projects straight into the destination relation instead,
+/// whose own index does the dedup: no first occurrence is stored twice.
 class ProjectCursor final : public Cursor {
  public:
   ProjectCursor(const PlanNode* node, ExtendedSchemaPtr schema, Cursor* child,
-                std::vector<std::size_t> coords, TupleBatch* out)
+                std::vector<std::size_t> coords)
       : Cursor(node, std::move(schema), /*native=*/true),
         child_(child),
-        coords_(std::move(coords)),
-        out_(out) {}
+        coords_(std::move(coords)) {}
 
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
-    const auto seen_at = [this](std::size_t position) -> const Tuple& {
-      return seen_[position];
+    if (!seen_.has_value()) seen_.emplace();
+    std::deque<Tuple>& seen = *seen_;
+    const auto seen_at = [&seen](std::size_t position) -> const Tuple& {
+      return seen[position];
     };
     for (;;) {
       SERENA_ASSIGN_OR_RETURN(const TupleBatch* in, child_->Next(ctx));
       if (in == nullptr) return {nullptr};
-      out_->Clear();
+      out_.Clear();
       for (std::size_t i = 0; i < in->size(); ++i) {
         Tuple projected = in->at(i).Project(coords_);
         const std::uint64_t hash = projected.Hash();
-        if (!seen_index_.Insert(projected, hash, seen_.size(), seen_at)) {
+        if (!seen_index_.Insert(projected, hash, seen.size(), seen_at)) {
           continue;
         }
-        seen_.push_back(std::move(projected));
-        out_->AppendRef(&seen_.back(), hash);
+        seen.push_back(std::move(projected));
+        out_.AppendRef(&seen.back(), hash);
       }
-      if (!out_->empty()) return {out_};
+      if (!out_.empty()) return {&out_};
     }
+  }
+
+  /// Counts rows and batches as `Next` would have emitted them: one
+  /// batch per child batch that contributed a new row.
+  Status CollectImpl(XRelation* out, EvalContext& ctx) override {
+    for (;;) {
+      SERENA_ASSIGN_OR_RETURN(const TupleBatch* in, child_->Next(ctx));
+      if (in == nullptr) return Status::OK();
+      std::uint64_t inserted = 0;
+      for (std::size_t i = 0; i < in->size(); ++i) {
+        Tuple projected = in->at(i).Project(coords_);
+        const std::uint64_t hash = projected.Hash();
+        if (out->InsertHashed(std::move(projected), hash)) ++inserted;
+      }
+      if (inserted > 0) {
+        rows_out += inserted;
+        ++batches_out;
+      }
+    }
+  }
+
+  void ResetImpl() override {
+    seen_.reset();
+    seen_index_ = FlatTupleIndex();
   }
 
  private:
   Cursor* child_;
   std::vector<std::size_t> coords_;
-  TupleBatch* out_;
-  std::deque<Tuple> seen_;
+  TupleBatch out_;
+  // The first occurrences, only while a run emits batches.
+  std::optional<std::deque<Tuple>> seen_;
   FlatTupleIndex seen_index_;
 };
 
@@ -489,22 +610,21 @@ class AssignCursor final : public Cursor {
                std::string target, DataType declared,
                std::vector<std::size_t> plan,
                std::optional<std::size_t> source_coord,
-               std::optional<Value> constant, TupleBatch* out)
+               std::optional<Value> constant)
       : Cursor(node, std::move(schema), /*native=*/true),
         child_(child),
         target_(std::move(target)),
         declared_(declared),
         plan_(std::move(plan)),
         source_coord_(source_coord),
-        constant_(std::move(constant)),
-        out_(out) {}
+        constant_(std::move(constant)) {}
 
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     SERENA_ASSIGN_OR_RETURN(const TupleBatch* in, child_->Next(ctx));
     if (in == nullptr) return {nullptr};
-    out_->Clear();
-    out_->ReserveOwned(in->size());
+    out_.Clear();
+    out_.ReserveOwned(in->size());
     for (std::size_t i = 0; i < in->size(); ++i) {
       const Tuple& u = in->at(i);
       const Value realized =
@@ -521,10 +641,10 @@ class AssignCursor final : public Cursor {
         values.push_back(coord == kNew ? realized.CoerceTo(declared_)
                                        : u[coord]);
       }
-      out_->AppendOwned(Tuple(std::move(values)));
+      out_.AppendOwned(Tuple(std::move(values)));
     }
     // α emits one row per input row, so a non-null fill is never empty.
-    return {out_};
+    return {&out_};
   }
 
  private:
@@ -534,7 +654,7 @@ class AssignCursor final : public Cursor {
   std::vector<std::size_t> plan_;
   std::optional<std::size_t> source_coord_;
   std::optional<Value> constant_;
-  TupleBatch* out_;
+  TupleBatch out_;
 };
 
 /// ⋈: materializes both sides on first pull (operand order, like the
@@ -549,32 +669,19 @@ class AssignCursor final : public Cursor {
 class JoinCursor final : public Cursor {
  public:
   JoinCursor(const PlanNode* node, JoinSpec spec, Cursor* left, Cursor* right,
-             TupleBatch* out, std::size_t batch_size)
+             std::size_t batch_size)
       : Cursor(node, spec.schema, /*native=*/true),
         spec_(std::move(spec)),
         left_(left),
         right_(right),
-        out_(out),
         batch_size_(batch_size) {}
 
   /// True unless the join degrades to a Cartesian product.
   bool keyed() const { return !spec_.key1.empty(); }
 
-  /// γ's terminal over this keyed join: folds every matched pair into
-  /// `aggregator`, in the order `Next` would emit the merged rows. The
-  /// group-by and aggregate-input coordinates of the merged row are
-  /// mapped once through `JoinSpec::sources`; when every group-by value
-  /// can be read off the probe row (a probe attribute or a join key), the
-  /// group is looked up once per probe row, on its first match. A new
-  /// group's key takes each value from the side `Merge` would, so the
-  /// output bytes match the merged fold. Records the pair count as the
-  /// join's rows, as the scalar path does.
-  Result<XRelation> Fold(Aggregator* aggregator, EvalContext& ctx) {
-    started = true;
-    if (Status prepared = Prepare(ctx); !prepared.ok()) {
-      failed = true;
-      return prepared;
-    }
+  /// Maps `aggregator`'s group-by and aggregate-input coordinates of the
+  /// merged row once through `JoinSpec::sources`, for `Fold`.
+  void PrepareFold(const Aggregator& aggregator) {
     const auto map = [this](const std::vector<std::size_t>& coords) {
       std::vector<JoinSpec::Source> sources;
       sources.reserve(coords.size());
@@ -584,11 +691,26 @@ class JoinCursor final : public Cursor {
       }
       return sources;
     };
-    const std::vector<JoinSpec::Source> keys = map(aggregator->key_coords());
-    const std::vector<JoinSpec::Source> inputs =
-        map(aggregator->input_coords());
+    fold_keys_ = map(aggregator.key_coords());
+    fold_inputs_ = map(aggregator.input_coords());
+  }
+
+  /// γ's terminal over this keyed join (after `PrepareFold`): folds every
+  /// matched pair into `aggregator`, in the order `Next` would emit the
+  /// merged rows. When every group-by value can be read off the probe
+  /// row (a probe attribute or a join key), the group is looked up once
+  /// per probe row, on its first match. A new group's key takes each
+  /// value from the side `Merge` would, so the output bytes match the
+  /// merged fold. Records the pair count as the join's rows, as the
+  /// scalar path does.
+  Result<XRelation> Fold(Aggregator* aggregator, EvalContext& ctx) {
+    started = true;
+    if (Status opened = Open(ctx); !opened.ok()) {
+      failed = true;
+      return opened;
+    }
     bool group_per_probe_row = true;
-    for (const JoinSpec::Source& key : keys) {
+    for (const JoinSpec::Source& key : fold_keys_) {
       const bool from_probe = key.from_r1 != build_r1_;
       const bool join_key =
           key.from_r1 && std::find(spec_.key1.begin(), spec_.key1.end(),
@@ -611,10 +733,10 @@ class JoinCursor final : public Cursor {
         };
         if (group == kNoGroup || !group_per_probe_row) {
           group = aggregator->GroupOf(
-              [&](std::size_t i) -> const Value& { return at(keys[i]); });
+              [&](std::size_t i) -> const Value& { return at(fold_keys_[i]); });
         }
         aggregator->Accumulate(group, [&](std::size_t j) -> const Value& {
-          return at(inputs[j]);
+          return at(fold_inputs_[j]);
         });
 #ifndef NDEBUG
         const bool distinct = folded.InsertUnchecked(spec_.Merge(t1, t2));
@@ -629,18 +751,37 @@ class JoinCursor final : public Cursor {
 
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
-    if (!prepared_) {
-      SERENA_RETURN_NOT_OK(Prepare(ctx));
-      out_->ReserveOwned(batch_size_);
+    if (!opened_) {
+      SERENA_RETURN_NOT_OK(Open(ctx));
+      // Sized for about one match per probe row, never past the batch
+      // size: a kept pipeline holds on to its batch, and a small join's
+      // should stay small.
+      out_.ReserveOwned(std::min(
+          batch_size_, keyed() ? probe_->size()
+                               : left_rel_->size() * right_rel_->size()));
     }
-    out_->Clear();
+    out_.Clear();
     if (!keyed()) return Cartesian();
     return Probe();
   }
 
+  void ResetImpl() override {
+    opened_ = false;
+    table_.reset();
+    left_store_.reset();
+    right_store_.reset();
+    left_rel_ = nullptr;
+    right_rel_ = nullptr;
+    probe_ = nullptr;
+    probe_idx_ = 0;
+    i1_ = 0;
+    i2_ = 0;
+  }
+
  private:
-  Status Prepare(EvalContext& ctx) {
-    prepared_ = true;
+  /// Materializes both sides and, for a keyed join, builds the table.
+  Status Open(EvalContext& ctx) {
+    opened_ = true;
     SERENA_ASSIGN_OR_RETURN(left_rel_,
                             MaterializeSide(left_, &left_store_, ctx));
     SERENA_ASSIGN_OR_RETURN(right_rel_,
@@ -659,8 +800,8 @@ class JoinCursor final : public Cursor {
     SERENA_ASSIGN_OR_RETURN(const XRelation* relation,
                             side->Materialize(ctx));
     if (relation != nullptr) return {relation};
-    SERENA_ASSIGN_OR_RETURN(XRelation collected, Collect(side, ctx));
-    *store = std::move(collected);
+    store->emplace(side->schema);
+    SERENA_RETURN_NOT_OK(side->CollectInto(&**store, ctx));
     return {&**store};
   }
 
@@ -673,37 +814,39 @@ class JoinCursor final : public Cursor {
         ++i1_;
         continue;
       }
-      if (out_->size() >= batch_size_) return {out_};
-      out_->AppendOwned(spec_.Merge(r1[i1_], r2[i2_]));
+      if (out_.size() >= batch_size_) return {&out_};
+      out_.AppendOwned(spec_.Merge(r1[i1_], r2[i2_]));
       ++i2_;
     }
-    if (out_->empty()) return {nullptr};
-    return {out_};
+    if (out_.empty()) return {nullptr};
+    return {&out_};
   }
 
   Result<TupleBatch*> Probe() {
     const std::vector<Tuple>& tuples = probe_->tuples();
     if (table_->empty()) probe_idx_ = tuples.size();
-    while (probe_idx_ < tuples.size() && out_->size() < batch_size_) {
+    while (probe_idx_ < tuples.size() && out_.size() < batch_size_) {
       // Finish every match of one probe row before checking the size cap,
       // so resuming only needs the probe index (batches may overshoot).
       const Tuple& t = tuples[probe_idx_++];
       table_->ForEachMatch(t, *probe_key_, [this, &t](const Tuple& match) {
-        out_->AppendOwned(build_r1_ ? spec_.Merge(match, t)
-                                    : spec_.Merge(t, match));
+        out_.AppendOwned(build_r1_ ? spec_.Merge(match, t)
+                                   : spec_.Merge(t, match));
       });
     }
-    if (out_->empty()) return {nullptr};
-    return {out_};
+    if (out_.empty()) return {nullptr};
+    return {&out_};
   }
 
   JoinSpec spec_;
   Cursor* left_;
   Cursor* right_;
-  TupleBatch* out_;
+  TupleBatch out_;
   std::size_t batch_size_;
+  std::vector<JoinSpec::Source> fold_keys_;
+  std::vector<JoinSpec::Source> fold_inputs_;
 
-  bool prepared_ = false;
+  bool opened_ = false;
   std::optional<XRelation> left_store_;
   std::optional<XRelation> right_store_;
   const XRelation* left_rel_ = nullptr;
@@ -719,25 +862,54 @@ class JoinCursor final : public Cursor {
   std::size_t i2_ = 0;
 };
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Pipeline construction
+// Prepared pipelines
 // ---------------------------------------------------------------------------
 
-struct Pipeline {
+/// A fused pipeline, built once by `Prepare` and run by `Run`. It holds
+/// only plan-shaped state: cursors with their schemas, compiled
+/// predicates, coordinate maps, join specs and batches, γ's aggregator,
+/// each stage's statistics ordinal and the span detail. Everything a run
+/// reads in proportion to its rows is rebound, or rebuilt and freed, per
+/// run.
+struct PreparedPipeline {
+  /// The pipeline's root node: the fused root, or γ when γ folds.
+  const PlanNode* node = nullptr;
+  /// Children before parents, leaves first.
   std::vector<std::unique_ptr<Cursor>> cursors;
   /// The cursor the terminal drains: the root node's own cursor, or γ's
   /// child when γ folds the pipeline.
   Cursor* root = nullptr;
-  /// The γ whose fold is the terminal, or null for the collect.
-  const AggregateNode* fold = nullptr;
-  BatchPool* pool = nullptr;
+  /// γ's aggregator when γ folds the pipeline (the terminal), else empty
+  /// (the terminal collects).
+  std::optional<Aggregator> aggregator;
+  /// The record the cursors' ordinals index (nullptr: none).
+  const PlanStats* stats = nullptr;
   std::size_t batch_size = 0;
+  /// True when a stage is an `OpaqueCursor`: such a pipeline is never
+  /// kept.
+  bool opaque = false;
+  /// The fused stages, leaves first (e.g. "window,select", or
+  /// "window,select,aggregate" under a folding γ) — the detail of the
+  /// pipeline's `vec.pipeline` span.
+  std::string stages;
+  /// Plan nodes fused into the pipeline (`serena.vectorize.fused_ops`).
+  std::uint64_t fused_ops = 0;
+  /// Rows of the last successful run's result: the collect reserves them.
+  std::size_t last_rows = 0;
 };
 
+namespace {
+
 template <typename CursorT, typename... Args>
-CursorT* AddCursor(Pipeline* pipeline, Args&&... args) {
-  pipeline->cursors.push_back(
-      std::make_unique<CursorT>(std::forward<Args>(args)...));
+CursorT* AddCursor(PreparedPipeline* pipeline, Args&&... args) {
+  auto cursor = std::make_unique<CursorT>(std::forward<Args>(args)...);
+  if (pipeline->stats != nullptr) {
+    cursor->ordinal = pipeline->stats->OrdinalOf(cursor->node);
+  }
+  pipeline->cursors.push_back(std::move(cursor));
   return static_cast<CursorT*>(pipeline->cursors.back().get());
 }
 
@@ -745,10 +917,9 @@ CursorT* AddCursor(Pipeline* pipeline, Args&&... args) {
 /// Returns nullptr when the pipeline cannot be built — any schema or
 /// lookup failure — in which case the whole TryExecute falls back to the
 /// scalar path, which reproduces the exact scalar diagnostics. Building
-/// performs no evaluation (the one eager step, the window slice read, is
-/// side-effect free), so a fallback re-runs from a clean slate.
+/// performs no evaluation, so a fallback re-runs from a clean slate.
 Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
-                    Pipeline* pipeline) {
+                    PreparedPipeline* pipeline) {
   switch (node.kind()) {
     case PlanKind::kScan: {
       if (ctx.env == nullptr) return nullptr;
@@ -756,8 +927,8 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
       Result<const XRelation*> relation =
           ctx.env->GetRelation(scan.relation());
       if (!relation.ok()) return nullptr;
-      return AddCursor<ScanCursor>(pipeline, &node, *relation,
-                                   pipeline->pool->Acquire(),
+      return AddCursor<ScanCursor>(pipeline, &scan,
+                                   (*relation)->schema_ptr(),
                                    pipeline->batch_size);
     }
     case PlanKind::kWindow: {
@@ -765,33 +936,8 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
       const auto& window = static_cast<const WindowNode&>(node);
       Result<XDRelation*> stream = ctx.streams->GetStream(window.stream());
       if (!stream.ok()) return nullptr;
-      std::vector<HashedTupleRef> slice;
-      if (window.mode() == WindowMode::kTime) {
-        (*stream)->CollectInsertedDuring(ctx.instant - window.period(),
-                                         ctx.instant, &slice);
-      } else {
-        (*stream)->CollectLastInserted(
-            static_cast<std::size_t>(window.period()), ctx.instant, &slice);
-      }
-      // Set semantics: keep the first occurrence of each tuple, exactly
-      // like the scalar window's insertions into its X-Relation, on the
-      // same flat index. The entries carry their append-time hashes, so
-      // no tuple is hashed here.
-      std::vector<HashedTupleRef> kept;
-      kept.reserve(slice.size());
-      FlatTupleIndex seen;
-      seen.Reserve(slice.size());
-      const auto kept_at = [&kept](std::size_t position) -> const Tuple& {
-        return *kept[position].tuple;
-      };
-      for (const HashedTupleRef& ref : slice) {
-        if (seen.Insert(*ref.tuple, ref.hash, kept.size(), kept_at)) {
-          kept.push_back(ref);
-        }
-      }
-      return AddCursor<WindowCursor>(pipeline, &node, (*stream)->schema_ptr(),
-                                     std::move(kept),
-                                     pipeline->pool->Acquire(),
+      return AddCursor<WindowCursor>(pipeline, &window,
+                                     (*stream)->schema_ptr(),
                                      pipeline->batch_size);
     }
     case PlanKind::kSelect: {
@@ -817,8 +963,7 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
       }
       return AddCursor<FilterCursor>(pipeline, &node, std::move(*schema),
                                      child, std::move(conjuncts),
-                                     std::move(predicate),
-                                     pipeline->pool->Acquire());
+                                     std::move(predicate));
     }
     case PlanKind::kProject: {
       const auto& project = static_cast<const ProjectNode&>(node);
@@ -834,8 +979,7 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
         }
       }
       return AddCursor<ProjectCursor>(pipeline, &node, std::move(*schema),
-                                      child, std::move(coords),
-                                      pipeline->pool->Acquire());
+                                      child, std::move(coords));
     }
     case PlanKind::kRename: {
       const auto& rename = static_cast<const RenameNode&>(node);
@@ -875,10 +1019,10 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
           plan.push_back(*child->schema->CoordinateOf(attr.name));
         }
       }
-      return AddCursor<AssignCursor>(
-          pipeline, &node, std::move(*schema), child, assign.target(),
-          declared, std::move(plan), source_coord, std::move(constant),
-          pipeline->pool->Acquire());
+      return AddCursor<AssignCursor>(pipeline, &node, std::move(*schema),
+                                     child, assign.target(), declared,
+                                     std::move(plan), source_coord,
+                                     std::move(constant));
     }
     case PlanKind::kJoin: {
       const auto& join = static_cast<const JoinNode&>(node);
@@ -889,8 +1033,7 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
       Result<JoinSpec> spec = JoinSpec::Resolve(left->schema, right->schema);
       if (!spec.ok()) return nullptr;
       return AddCursor<JoinCursor>(pipeline, &node, std::move(*spec), left,
-                                   right, pipeline->pool->Acquire(),
-                                   pipeline->batch_size);
+                                   right, pipeline->batch_size);
     }
     default: {
       // Opaque stage: needs its schema up front (parents resolve theirs
@@ -900,16 +1043,51 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
       Result<ExtendedSchemaPtr> schema =
           node.InferSchema(*ctx.env, ctx.streams);
       if (!schema.ok()) return nullptr;
+      pipeline->opaque = true;
       return AddCursor<OpaqueCursor>(pipeline, &node, std::move(*schema),
-                                     pipeline->pool->Acquire(),
                                      pipeline->batch_size);
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Pipeline execution
-// ---------------------------------------------------------------------------
+/// The one pipeline builder: the cursors of the pipeline rooted at
+/// `node` against `ctx`'s environment, statistics record and batch size,
+/// or nullptr when it cannot be built (see `BuildCursor`).
+std::unique_ptr<PreparedPipeline> Prepare(const PlanNode& node,
+                                          EvalContext& ctx) {
+  auto pipeline = std::make_unique<PreparedPipeline>();
+  pipeline->node = &node;
+  pipeline->stats = ctx.stats;
+  pipeline->batch_size = BatchSize();
+  // γ is no cursor: it folds its child's pipeline into an Aggregator.
+  const auto* fold = node.kind() == PlanKind::kAggregate
+                         ? &static_cast<const AggregateNode&>(node)
+                         : nullptr;
+  pipeline->root =
+      BuildCursor(fold != nullptr ? *fold->child() : node, ctx,
+                  pipeline.get());
+  if (pipeline->root == nullptr) return nullptr;
+  if (fold != nullptr) {
+    Result<Aggregator> created = Aggregator::Create(
+        pipeline->root->schema, fold->group_by(), fold->aggregates());
+    if (!created.ok()) return nullptr;
+    pipeline->aggregator = std::move(*created);
+    if (pipeline->root->node->kind() == PlanKind::kJoin) {
+      auto* join = static_cast<JoinCursor*>(pipeline->root);
+      if (join->keyed()) join->PrepareFold(*pipeline->aggregator);
+    }
+  }
+  const auto append = [&pipeline](const PlanNode& stage) {
+    if (!pipeline->stages.empty()) pipeline->stages.push_back(',');
+    pipeline->stages += PlanKindToString(stage.kind());
+    ++pipeline->fused_ops;
+  };
+  for (const auto& cursor : pipeline->cursors) {
+    if (cursor->native) append(*cursor->node);
+  }
+  if (fold != nullptr) append(*fold);
+  return pipeline;
+}
 
 /// Flushes the fused interior's statistics so EXPLAIN ANALYZE and the
 /// statistics store (and through it the `serena.op.*` counters) match the
@@ -919,55 +1097,42 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
 /// batch count comes from here (a folding γ has no cursor and emits no
 /// batches). Stages never started (the right join side after a left
 /// failure) stay unrecorded, exactly like unevaluated scalar operands.
-void FlushStats(const Pipeline& pipeline, const PlanNode& root_node,
-                PlanStats& record, std::uint64_t elapsed_ns) {
+void FlushStats(const PreparedPipeline& pipeline, PlanStats& record,
+                std::uint64_t elapsed_ns) {
   for (const auto& cursor : pipeline.cursors) {
-    if (!cursor->native || !cursor->started) continue;
-    NodeRuntimeStats* stats = record.Find(cursor->node);
-    if (stats == nullptr) continue;
-    stats->batches += cursor->batches_out;
-    if (cursor->node == &root_node) continue;
-    ++stats->evals;
-    stats->rows_out += cursor->rows_out;
-    stats->wall_ns += elapsed_ns;
-    if (cursor->failed) ++stats->errors;
+    if (!cursor->native || !cursor->started ||
+        cursor->ordinal == PlanStats::kNotInPlan) {
+      continue;
+    }
+    NodeRuntimeStats& stats = record.at(cursor->ordinal);
+    stats.batches += cursor->batches_out;
+    if (cursor->node == pipeline.node) continue;
+    ++stats.evals;
+    stats.rows_out += cursor->rows_out;
+    stats.wall_ns += elapsed_ns;
+    if (cursor->failed) ++stats.errors;
   }
 }
 
 /// Adds one run of `pipeline` to the `serena.vectorize.*` counters.
-void CountPipeline(const Pipeline& pipeline) {
-  std::uint64_t fused = pipeline.fold != nullptr ? 1 : 0;
-  for (const auto& cursor : pipeline.cursors) {
-    if (cursor->native) ++fused;
-  }
+void CountPipeline(const PreparedPipeline& pipeline) {
   const VecInstruments& instruments = VectorizeInstruments();
   instruments.pipelines->Increment();
-  instruments.fused_ops->Increment(fused);
+  instruments.fused_ops->Increment(pipeline.fused_ops);
   instruments.batches->Increment(pipeline.root->batches_out);
   instruments.rows->Increment(pipeline.root->rows_out);
 }
 
-/// The fused stages of `pipeline`, leaves first (e.g. "window,select",
-/// or "window,select,aggregate" under a folding γ) — the detail of its
-/// `vec.pipeline` span.
-std::string FusedStages(const Pipeline& pipeline) {
-  std::string stages;
-  const auto append = [&stages](const PlanNode& node) {
-    if (!stages.empty()) stages.push_back(',');
-    stages += PlanKindToString(node.kind());
-  };
-  for (const auto& cursor : pipeline.cursors) {
-    if (cursor->native) append(*cursor->node);
+/// Runs `pipeline`'s terminal: the collect, or γ's fold — in place, pair
+/// by pair, when γ's child is a keyed join.
+Result<XRelation> RunTerminal(PreparedPipeline& pipeline, EvalContext& ctx) {
+  if (!pipeline.aggregator.has_value()) {
+    XRelation out(pipeline.root->schema);
+    out.Reserve(pipeline.last_rows);
+    SERENA_RETURN_NOT_OK(pipeline.root->CollectInto(&out, ctx));
+    return out;
   }
-  if (pipeline.fold != nullptr) append(*pipeline.fold);
-  return stages;
-}
-
-/// Runs `pipeline`'s terminal: the collect, or γ's fold into
-/// `aggregator` — in place, pair by pair, when γ's child is a keyed join.
-Result<XRelation> RunTerminal(const Pipeline& pipeline,
-                              Aggregator* aggregator, EvalContext& ctx) {
-  if (aggregator == nullptr) return Collect(pipeline.root, ctx);
+  Aggregator* aggregator = &*pipeline.aggregator;
   if (pipeline.root->node->kind() == PlanKind::kJoin) {
     auto* join = static_cast<JoinCursor*>(pipeline.root);
     if (join->keyed()) return join->Fold(aggregator, ctx);
@@ -975,43 +1140,18 @@ Result<XRelation> RunTerminal(const Pipeline& pipeline,
   return Fold(pipeline.root, aggregator, ctx);
 }
 
-}  // namespace
-
-std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
-                                            EvalContext& ctx) {
-  if (!IsFusedRoot(node.kind())) return std::nullopt;
-
-  // The pool outlives the pipeline (cursors hold its batches). Marks let
-  // pipelines nest: an opaque stage may run an inner pipeline over the
-  // same pool.
-  BatchPool local_pool;
-  BatchPool* pool =
-      ctx.batch_pool != nullptr ? ctx.batch_pool : &local_pool;
-  const std::size_t mark = pool->Mark();
-
-  Pipeline pipeline;
-  pipeline.pool = pool;
-  pipeline.batch_size = BatchSize();
-  // γ is no cursor: it folds its child's pipeline into an Aggregator.
-  const auto* fold = node.kind() == PlanKind::kAggregate
-                         ? &static_cast<const AggregateNode&>(node)
-                         : nullptr;
-  pipeline.fold = fold;
-  pipeline.root =
-      BuildCursor(fold != nullptr ? *fold->child() : node, ctx, &pipeline);
-  std::optional<Aggregator> aggregator;
-  if (fold != nullptr && pipeline.root != nullptr) {
-    Result<Aggregator> created = Aggregator::Create(
-        pipeline.root->schema, fold->group_by(), fold->aggregates());
-    if (created.ok()) {
-      aggregator = std::move(*created);
-    } else {
-      pipeline.root = nullptr;
-    }
-  }
-  if (pipeline.root == nullptr) {
-    pool->ReleaseToMark(mark);
+/// The one pipeline runner: rebinds `pipeline`'s leaves to `ctx`, runs
+/// its terminal, records its statistics and returns every cursor to its
+/// prepared state. nullopt, having run nothing, when the pipeline no
+/// longer fits `ctx` — another statistics record or batch size, or a leaf
+/// whose input is gone or changed schema — and must be rebuilt.
+std::optional<Result<XRelation>> Run(PreparedPipeline& pipeline,
+                                     EvalContext& ctx) {
+  if (pipeline.stats != ctx.stats || pipeline.batch_size != BatchSize()) {
     return std::nullopt;
+  }
+  for (const auto& cursor : pipeline.cursors) {
+    if (!cursor->Rebind(ctx)) return std::nullopt;
   }
 
   // The fused stages run interleaved batch by batch, so the pipeline is
@@ -1019,20 +1159,62 @@ std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
   // consumed through opaque cursors nest their own spans under it.
   std::optional<obs::Span> span;
   if (obs::TraceBuffer::Global().enabled()) {
-    span.emplace("vec.pipeline", ctx.instant, FusedStages(pipeline));
+    span.emplace("vec.pipeline", ctx.instant, pipeline.stages);
   }
   const bool timed = ctx.stats != nullptr && ctx.stats->timed();
   const std::uint64_t start_ns = timed ? obs::MonotonicNowNs() : 0;
 
-  Result<XRelation> result = RunTerminal(
-      pipeline, aggregator.has_value() ? &*aggregator : nullptr, ctx);
+  Result<XRelation> result = RunTerminal(pipeline, ctx);
 
   if (ctx.stats != nullptr) {
-    FlushStats(pipeline, node, *ctx.stats,
+    FlushStats(pipeline, *ctx.stats,
                timed ? obs::MonotonicNowNs() - start_ns : 0);
   }
   if (obs::MetricsRegistry::Global().enabled()) CountPipeline(pipeline);
-  pool->ReleaseToMark(mark);
+  if (result.ok()) pipeline.last_rows = result->size();
+  for (const auto& cursor : pipeline.cursors) cursor->Reset();
+  if (pipeline.aggregator.has_value()) pipeline.aggregator->Reset();
+  return result;
+}
+
+}  // namespace
+
+PipelineCache::PipelineCache(std::size_t nodes) : slots_(nodes) {}
+
+PipelineCache::~PipelineCache() = default;
+
+std::size_t PipelineCache::size() const {
+  return static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const auto& slot) { return slot != nullptr; }));
+}
+
+std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
+                                            EvalContext& ctx) {
+  if (!IsFusedRoot(node.kind())) return std::nullopt;
+
+  // A standing query's slot for this node, indexed like its statistics.
+  std::unique_ptr<PreparedPipeline>* slot = nullptr;
+  if (ctx.pipelines != nullptr && ctx.stats != nullptr) {
+    const std::size_t ordinal = ctx.stats->OrdinalOf(&node);
+    if (ordinal < ctx.pipelines->slots_.size()) {
+      slot = &ctx.pipelines->slots_[ordinal];
+    }
+  }
+  if (slot != nullptr && *slot != nullptr) {
+    if (std::optional<Result<XRelation>> result = Run(**slot, ctx)) {
+      return result;
+    }
+    slot->reset();  // Its inputs changed under it: prepare it afresh.
+  }
+
+  std::unique_ptr<PreparedPipeline> pipeline = Prepare(node, ctx);
+  if (pipeline == nullptr) return std::nullopt;
+  std::optional<Result<XRelation>> result = Run(*pipeline, ctx);
+  if (result.has_value() && slot != nullptr && !pipeline->opaque) {
+    *slot = std::move(pipeline);
+    ++ctx.pipelines->builds_;
+  }
   return result;
 }
 

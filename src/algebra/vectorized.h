@@ -2,7 +2,10 @@
 #define SERENA_ALGEBRA_VECTORIZED_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/result.h"
 #include "xrel/xrelation.h"
@@ -19,9 +22,9 @@ enum class PlanKind;
 /// of materializing one `XRelation` per operator, a pipeline of cursors
 /// pushes `TupleBatch`es (SERENA_BATCH_SIZE rows, default 1024) through
 /// fused σ/π/ρ/α/⋈ stages and materializes only the pipeline's final
-/// output — or, under a γ root, folds it into γ's groups unmaterialized. Results are byte-identical to the scalar path, which stays
-/// available behind `SERENA_VECTORIZE=off` as the differential-testing
-/// oracle.
+/// output — or, under a γ root, folds it into γ's groups unmaterialized.
+/// Results are byte-identical to the scalar path, which stays available
+/// behind `SERENA_VECTORIZE=off` as the differential-testing oracle.
 namespace vec {
 
 /// Whether batch execution is enabled. Controlled by `SERENA_VECTORIZE`
@@ -52,8 +55,49 @@ bool IsFusedRoot(PlanKind kind);
 /// back to the scalar `EvaluateImpl`, which reproduces the exact scalar
 /// diagnostics. A non-nullopt result (success or runtime error) is
 /// final and byte-identical to what the scalar path would produce.
+///
+/// The pipeline is prepared once and then run: with `ctx.pipelines` set
+/// (a standing query's step) the prepared pipeline is kept there and
+/// later evaluations only rebind its leaves and run it; otherwise it is
+/// a temporary, prepared and run once.
 std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
                                             EvalContext& ctx);
+
+/// A pipeline built once and run at many instants (defined in
+/// vectorized.cc).
+struct PreparedPipeline;
+
+/// A standing query's prepared pipelines (docs/VECTORIZATION.md,
+/// "Prepared pipelines"): one slot per plan node, indexed by the node's
+/// ordinal in the `PlanStats` an evaluation records into (`ctx.stats`).
+/// A slot is filled at the node's first evaluation and rebuilt only when
+/// a leaf's relation or stream schema, or `BatchSize()`, changed since.
+/// Pipelines holding an opaque (scalar) stage are never kept.
+///
+/// Not thread-safe: only the thread stepping the query uses it.
+class PipelineCache {
+ public:
+  /// A cache for a plan of `nodes` distinct nodes.
+  explicit PipelineCache(std::size_t nodes);
+  ~PipelineCache();
+
+  PipelineCache(const PipelineCache&) = delete;
+  PipelineCache& operator=(const PipelineCache&) = delete;
+
+  /// Pipelines prepared into this cache so far: one at each node's first
+  /// evaluation, plus one per rebuild.
+  std::uint64_t builds() const { return builds_; }
+
+  /// Pipelines currently kept.
+  std::size_t size() const;
+
+ private:
+  friend std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
+                                                     EvalContext& ctx);
+
+  std::vector<std::unique_ptr<PreparedPipeline>> slots_;
+  std::uint64_t builds_ = 0;
+};
 
 }  // namespace vec
 }  // namespace serena

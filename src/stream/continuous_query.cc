@@ -36,7 +36,6 @@ Result<XRelation> ContinuousQuery::Step(Environment* env,
   };
   ctx.error_policy = InvocationErrorPolicy::kSkipTuple;
   ctx.state = &state_;
-  ctx.batch_pool = &batch_pool_;
   last_failed_tuples_.clear();
   ctx.failed_tuples = &last_failed_tuples_;
   // Per-node actuals land in the query's own record every step: its
@@ -49,6 +48,8 @@ Result<XRelation> ContinuousQuery::Step(Environment* env,
   stats.Reset();
   stats.set_timed(metered);
   ctx.stats = &stats;
+  // The fused pipelines prepared at the first step are rebound and run.
+  ctx.pipelines = &runtime_->pipelines();
   Result<XRelation> evaluated = plan_->Evaluate(ctx);
   if (metered) runtime_->PublishStats();
   SERENA_ASSIGN_OR_RETURN(XRelation result, std::move(evaluated));

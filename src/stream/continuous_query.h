@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "algebra/plan.h"
-#include "algebra/tuple_batch.h"
 #include "stream/query_runtime.h"
 
 namespace serena {
@@ -150,10 +149,6 @@ class ContinuousQuery {
   std::vector<std::string> feeds_;
   Sink sink_;
   NodeStateStore state_;
-  /// Reusable batch storage for the vectorized execution core: the same
-  /// plan runs every tick, so after the first step the batch loop is
-  /// allocation-free.
-  vec::BatchPool batch_pool_;
   ActionSet accumulated_actions_;
   ActionLog action_log_;
   std::vector<Tuple> last_failed_tuples_;

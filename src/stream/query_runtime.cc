@@ -3,11 +3,11 @@
 namespace serena {
 
 QueryRuntime::QueryRuntime(const PlanPtr& plan, obs::StatsStore& store)
-    : store_(store) {
-  if (plan == nullptr) return;
-  stats_ = PlanStats(*plan);
-  slots_ = store_.Acquire(stats_);
-}
+    : store_(store),
+      stats_(plan != nullptr ? PlanStats(*plan) : PlanStats()),
+      slots_(plan != nullptr ? store_.Acquire(stats_)
+                             : std::vector<obs::StatsStore::Slot*>()),
+      pipelines_(stats_.size()) {}
 
 QueryRuntime::~QueryRuntime() { store_.Release(slots_); }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "algebra/plan.h"
+#include "algebra/vectorized.h"
 #include "common/clock.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
@@ -22,7 +23,10 @@ namespace serena {
 ///     is lock- and lookup-free;
 ///   - the query's health: last completed instant, error streak, totals,
 ///     rows in/out and the one step-latency histogram, read by
-///     `QueryHealth` (`\health`, `sys_query_health`, the tick watchdog).
+///     `QueryHealth` (`\health`, `sys_query_health`, the tick watchdog);
+///   - the plan's prepared fused pipelines, indexed by the same ordinals:
+///     built at the first step, then rebound and run by every step
+///     (docs/VECTORIZATION.md, "Prepared pipelines").
 ///
 /// A step allocates nothing and takes no lock to record here. Health has
 /// one writer, the thread stepping the query, and any number of readers:
@@ -40,6 +44,11 @@ class QueryRuntime {
   /// Per-node statistics of the current (or last) step.
   PlanStats& stats() { return stats_; }
   const PlanStats& stats() const { return stats_; }
+
+  /// The plan's prepared fused pipelines. Only the thread stepping the
+  /// query touches them.
+  vec::PipelineCache& pipelines() { return pipelines_; }
+  const vec::PipelineCache& pipelines() const { return pipelines_; }
 
   /// Adds `stats()` to the statistics store and the `serena.op.*`
   /// counters (see `obs::StatsStore::Publish`).
@@ -79,6 +88,7 @@ class QueryRuntime {
   obs::StatsStore& store_;
   PlanStats stats_;
   std::vector<obs::StatsStore::Slot*> slots_;
+  vec::PipelineCache pipelines_;
 
   std::atomic<Timestamp> registered_at_{0};
   std::atomic<Timestamp> last_completed_{-1};

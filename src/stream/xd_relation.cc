@@ -63,11 +63,15 @@ void XDRelation::CollectInsertedDuring(Timestamp from_exclusive,
                                        Timestamp to_inclusive,
                                        std::vector<HashedTupleRef>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto begin = std::upper_bound(
-      entries_.begin(), entries_.end(), from_exclusive,
-      [](Timestamp t, const auto& entry) { return t < entry.instant; });
-  for (auto it = begin;
-       it != entries_.end() && it->instant <= to_inclusive; ++it) {
+  // Both ends by binary search, so the slice is reserved exactly once.
+  const auto after = [](Timestamp t, const Entry& entry) {
+    return t < entry.instant;
+  };
+  const auto begin =
+      std::upper_bound(entries_.begin(), entries_.end(), from_exclusive, after);
+  const auto end = std::upper_bound(begin, entries_.end(), to_inclusive, after);
+  out->reserve(out->size() + static_cast<std::size_t>(end - begin));
+  for (auto it = begin; it != end; ++it) {
     out->push_back(HashedTupleRef{&it->tuple, it->hash});
   }
 }

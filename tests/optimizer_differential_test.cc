@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "obs/meta.h"
 #include "obs/stats.h"
 #include "pems/pems.h"
+#include "stream/executor.h"
 
 namespace serena {
 namespace {
@@ -109,6 +109,27 @@ bool IsDdl(const std::string& text) {
          lower == "insert" || lower == "delete" || lower == "drop";
 }
 
+/// Captures every successful step's result per query, beside whatever
+/// sink the query has: an `into` query must keep feeding its stream, or
+/// the queries reading that stream are never compared. Observers run on
+/// the executor's tick thread, one step at a time.
+class StepCapture : public TickObserver {
+ public:
+  void OnQueryStep(Timestamp now, const ContinuousQuery& query,
+                   const Status& /*status*/, const XRelation* rows) override {
+    if (rows == nullptr) return;
+    captures_[query.name()] +=
+        "tick " + std::to_string(now) + ":\n" + rows->ToTableString();
+  }
+
+  const std::map<std::string, std::string>& captures() const {
+    return captures_;
+  }
+
+ private:
+  std::map<std::string, std::string> captures_;
+};
+
 /// Replays `script` with the optimizer forced to `optimize` and renders
 /// everything observable into one string (same signature shape as the
 /// vectorized differential test). `stages` — when non-null — restricts
@@ -116,10 +137,9 @@ bool IsDdl(const std::string& text) {
 std::string ReplaySignature(const std::string& script, bool optimize,
                             const char* stages = nullptr) {
   std::ostringstream sig;
-  // Sinks of queries stepping side by side run on pool threads at once.
-  std::mutex captures_mu;
-  std::map<std::string, std::string> captures;
+  StepCapture capture;  // Outlives the engine it observes.
   auto pems = Pems::Create().MoveValueOrDie();
+  pems->queries().executor().AddTickObserver(&capture);
   pems->queries().set_optimize(optimize);
   if (stages != nullptr) {
     pems->queries().set_optimizer_options(
@@ -175,21 +195,7 @@ std::string ReplaySignature(const std::string& script, bool optimize,
                                                        stream);
       sig << "register " << query_name << ": "
           << (status.ok() ? "ok" : status.ToString()) << "\n";
-      if (status.ok()) {
-        registered.push_back(query_name);
-        auto query = pems->queries().GetContinuous(query_name);
-        if (query.ok()) {
-          const std::string tag = query_name;
-          (*query)->set_sink(
-              [&captures, &captures_mu, tag](Timestamp t,
-                                             const XRelation& r) {
-                const std::string capture = "tick " + std::to_string(t) +
-                                            ":\n" + r.ToTableString();
-                std::lock_guard<std::mutex> lock(captures_mu);
-                captures[tag] += capture;
-              });
-        }
-      }
+      if (status.ok()) registered.push_back(query_name);
     } else if (directive == "\\source") {
       std::string token;
       std::string pending;
@@ -211,8 +217,19 @@ std::string ReplaySignature(const std::string& script, bool optimize,
     }
   }
 
-  for (const auto& [tag, capture] : captures) {
-    sig << "query " << tag << ":\n" << capture;
+  for (const auto& [tag, steps] : capture.captures()) {
+    sig << "query " << tag << ":\n" << steps;
+  }
+  // The retained history of every stream, derived ones included: what
+  // the `into` queries fed.
+  for (const std::string& stream_name : pems->streams().StreamNames()) {
+    auto stream = pems->streams().GetStream(stream_name);
+    if (!stream.ok()) continue;
+    sig << "stream " << stream_name << ":";
+    for (const auto& [instant, tuple] : (*stream)->Entries()) {
+      sig << " [" << instant << "] " << tuple.ToString();
+    }
+    sig << "\n";
   }
   for (const std::string& query_name : registered) {
     auto query = pems->queries().GetContinuous(query_name);

@@ -1,8 +1,8 @@
 // Unit tests for the vectorized batch execution core itself: the
 // configuration knobs, the fusion surface, the pipeline metrics and
-// per-operator batch counts, tracing staying on the fused path, batch-pool
-// reuse, the flattened-conjunction predicate fast path, and the
-// scalar-fallback gates.
+// per-operator batch counts, tracing staying on the fused path, the
+// flattened-conjunction predicate fast path, and the scalar-fallback
+// gates.
 
 #include "algebra/vectorized.h"
 
@@ -54,20 +54,6 @@ TEST(VectorizedConfigTest, FusedRootsAreTheFusableOperators) {
   EXPECT_FALSE(vec::IsFusedRoot(PlanKind::kWindow));
   EXPECT_FALSE(vec::IsFusedRoot(PlanKind::kInvoke));
   EXPECT_FALSE(vec::IsFusedRoot(PlanKind::kUnion));
-}
-
-TEST(TupleBatchTest, PoolReusesBatchesAcrossMarks) {
-  vec::BatchPool pool;
-  const std::size_t mark = pool.Mark();
-  vec::TupleBatch* a = pool.Acquire();
-  vec::TupleBatch* b = pool.Acquire();
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.allocated(), 2u);
-  pool.ReleaseToMark(mark);
-  // Released batches are handed out again — no new allocations.
-  EXPECT_EQ(pool.Acquire(), a);
-  EXPECT_EQ(pool.Acquire(), b);
-  EXPECT_EQ(pool.allocated(), 2u);
 }
 
 TEST(TupleBatchTest, HashesTravelWithBorrowedRowsOnly) {
