@@ -12,8 +12,11 @@
 // It then attributes a step's allocations to each query shape, split into
 // the one-time build of the query's fused pipelines (a fresh copy's first
 // step less a warm copy's step at the same instant) and the run every
-// step pays. The microbenchmarks time one tick of the fleet, metrics on
-// and off, serial and on 3 pool threads.
+// step pays, with the rows a steady step pushes through its pipelines
+// (`serena.vectorize.rows`). Two shapes outside the fleet, σ(W[8]) and
+// ρ(π(σ(W[4]))), show incremental windows: their steps touch the
+// arriving instant's rows, not the window's. The microbenchmarks time one
+// tick of the fleet, metrics on and off, serial and on 3 pool threads.
 //
 //   ./build/bench/bench_query_runtime
 //   ./build/bench/bench_query_runtime --benchmark_filter=BM_FleetTick
@@ -89,12 +92,27 @@ constexpr int kStreams = 32;
 constexpr int kQueries = 512;
 constexpr int kRowsPerStream = 4;
 
-/// The fleet's query shapes.
-enum Shape { kSelect, kProjectSelect, kAggregate, kJoin, kHealth, kShapes };
+/// The fleet's query shapes, then the shapes only the per-shape probe
+/// steps.
+enum Shape {
+  kSelect,
+  kProjectSelect,
+  kAggregate,
+  kJoin,
+  kHealth,
+  kSelectWide,
+  kRenameProjectSelect,
+  kShapes
+};
 
 const char* const kShapeNames[kShapes] = {
-    "select(window)", "project(select(window))", "aggregate(window)",
-    "join(select(window), zones)", "project(select(sys_query_health))"};
+    "select(window)",
+    "project(select(window))",
+    "aggregate(window)",
+    "join(select(window), zones)",
+    "project(select(sys_query_health))",
+    "select(window[8])",
+    "rename(project(select(window[4])))"};
 
 const char* const kAreas[] = {"office", "kitchen", "roof",     "lobby",
                               "garage", "corridor", "lab",     "hall"};
@@ -255,10 +273,21 @@ void ReproduceStepAllocations() {
 /// first step prepares them. Each step is counted on its own.
 class ShapeProbe : public TickObserver {
  public:
-  explicit ShapeProbe(Fleet& fleet) : fleet_(fleet) {
-    for (const ContinuousQueryPtr& query : fleet.queries) {
-      warm_.push_back(
-          std::make_unique<ContinuousQuery>(query->name(), query->plan()));
+  explicit ShapeProbe(Fleet& fleet)
+      : fleet_(fleet),
+        rows_(obs::MetricsRegistry::Global().GetCounter(
+            "serena.vectorize.rows")) {
+    for (std::size_t i = 0; i < fleet.queries.size(); ++i) {
+      Add(fleet.queries[i]->name(), fleet.queries[i]->plan(), fleet.shapes[i]);
+    }
+    for (int s = 0; s < kStreams; ++s) {
+      const std::string stream = StreamName(s);
+      Add("wide" + stream, "select[load > 50](window[8](" + stream + "))",
+          kSelectWide);
+      Add("hot" + stream,
+          "rename[load -> cpu](project[area, host, load](select[battery > "
+          "10](window[4](" + stream + "))))",
+          kRenameProjectSelect);
     }
   }
 
@@ -269,11 +298,13 @@ class ShapeProbe : public TickObserver {
         CountedStep(warm, now);
         continue;
       }
-      const Shape shape = fleet_.shapes[i];
+      const Shape shape = shapes_[i];
       ContinuousQuery fresh(warm.name(), warm.plan());
       first_[shape] += CountedStep(fresh, now);
       const std::uint64_t builds = warm.runtime()->pipelines().builds();
+      const std::uint64_t rows = rows_.value();
       steady_[shape] += CountedStep(warm, now);
+      rows_touched_[shape] += rows_.value() - rows;
       warm_builds_ += warm.runtime()->pipelines().builds() - builds;
       ++steps_[shape];
     }
@@ -284,12 +315,24 @@ class ShapeProbe : public TickObserver {
 
   double First(Shape shape) const { return PerStep(first_, shape); }
   double Steady(Shape shape) const { return PerStep(steady_, shape); }
+  /// Rows a steady-state step pushed through its pipelines.
+  double RowsTouched(Shape shape) const {
+    return PerStep(rows_touched_, shape);
+  }
   std::uint64_t steps(Shape shape) const { return steps_[shape]; }
   /// Pipelines the warm copies prepared while measured: 0 when every
   /// steady-state step only rebinds and runs.
   std::uint64_t warm_builds() const { return warm_builds_; }
 
  private:
+  void Add(const std::string& name, PlanPtr plan, Shape shape) {
+    warm_.push_back(std::make_unique<ContinuousQuery>(name, std::move(plan)));
+    shapes_.push_back(shape);
+  }
+  void Add(const std::string& name, const std::string& algebra, Shape shape) {
+    Add(name, ParseAlgebra(algebra).ValueOrDie(), shape);
+  }
+
   std::uint64_t CountedStep(ContinuousQuery& query, Timestamp now) {
     const std::uint64_t before = allocations.load(std::memory_order_relaxed);
     SERENA_CHECK(query.Step(&fleet_.env, &fleet_.streams, now).ok());
@@ -304,10 +347,13 @@ class ShapeProbe : public TickObserver {
   }
 
   Fleet& fleet_;
+  obs::Counter& rows_;
   std::vector<std::unique_ptr<ContinuousQuery>> warm_;
+  std::vector<Shape> shapes_;
   bool measuring_ = false;
   std::array<std::uint64_t, kShapes> first_{};
   std::array<std::uint64_t, kShapes> steady_{};
+  std::array<std::uint64_t, kShapes> rows_touched_{};
   std::array<std::uint64_t, kShapes> steps_{};
   std::uint64_t warm_builds_ = 0;
 };
@@ -325,17 +371,20 @@ void ReproduceShapeAllocations() {
   for (int i = 0; i < 32; ++i) fleet.executor.Tick();
   fleet.executor.RemoveTickObserver(&probe);
 
-  std::printf("%-36s %7s %8s %8s %8s\n", "shape", "steps", "first", "build",
-              "run");
+  std::printf("%-36s %7s %8s %8s %8s %8s\n", "shape", "steps", "first",
+              "build", "run", "rows");
   for (int s = 0; s < kShapes; ++s) {
     const auto shape = static_cast<Shape>(s);
     const double build = probe.First(shape) - probe.Steady(shape);
-    std::printf("%-36s %7llu %8.3f %8.3f %8.3f\n", kShapeNames[s],
+    std::printf("%-36s %7llu %8.3f %8.3f %8.3f %8.2f\n", kShapeNames[s],
                 static_cast<unsigned long long>(probe.steps(shape)),
-                probe.First(shape), build, probe.Steady(shape));
+                probe.First(shape), build, probe.Steady(shape),
+                probe.RowsTouched(shape));
     bench::RecordRepro(std::string("run_allocations_per_step.") +
                            kShapeNames[s],
                        probe.Steady(shape), "allocations");
+    bench::RecordRepro(std::string("rows_touched_per_step.") + kShapeNames[s],
+                       probe.RowsTouched(shape), "rows");
   }
   std::printf("pipelines built by steady-state steps: %llu (build "
               "allocations per steady-state step: 0)\n",

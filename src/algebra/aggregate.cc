@@ -189,17 +189,25 @@ Result<Aggregator> Aggregator::Create(
   return aggregator;
 }
 
-XRelation Aggregator::Finish() const {
-  std::vector<std::size_t> order(keys_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return KeyLess(keys_[a], keys_[b]);
-                   });
+XRelation Aggregator::Finish() {
+  // Ties (Int(2) and Real(2.0), NaN keys) keep their first-seen order
+  // through the group index, which makes the order total: no stable sort,
+  // and so no temporary buffer, is needed. A heap sort never reads past
+  // the range even where `Value::operator<` is not a strict weak order
+  // (ints past 2^53 against reals).
+  const auto before = [this](std::size_t a, std::size_t b) {
+    if (KeyLess(keys_[a], keys_[b])) return true;
+    if (KeyLess(keys_[b], keys_[a])) return false;
+    return a < b;
+  };
+  order_.resize(keys_.size());
+  std::iota(order_.begin(), order_.end(), 0);
+  std::make_heap(order_.begin(), order_.end(), before);
+  std::sort_heap(order_.begin(), order_.end(), before);
   const std::size_t width = fns_.size();
   XRelation result(schema_);
-  result.Reserve(order.size());
-  for (const std::size_t group : order) {
+  result.Reserve(order_.size());
+  for (const std::size_t group : order_) {
     const std::vector<Value>& key = keys_[group].values();
     std::vector<Value> values;
     values.reserve(key.size() + width);

@@ -114,8 +114,10 @@ class Aggregator {
   /// `Tuple::operator<` on the keys (NaN, which that order leaves
   /// unordered, sorts after every number, and NaN-keyed groups keep their
   /// input order). With no group-by attributes this is one row over all
-  /// input, or none for an empty input (SQL's grouped semantics).
-  XRelation Finish() const;
+  /// input, or none for an empty input (SQL's grouped semantics). Sorts
+  /// in a buffer the aggregator keeps, so a prepared pipeline's γ
+  /// allocates only its result.
+  XRelation Finish();
 
  private:
   /// One (group, aggregate) accumulator.
@@ -139,6 +141,7 @@ class Aggregator {
   std::vector<Tuple> keys_;  // One per group, in first-seen order.
   std::vector<Cell> cells_;  // Groups × aggregates, row-major.
   FlatTupleIndex groups_;    // Key -> position in keys_.
+  std::vector<std::size_t> order_;  // Finish's group order.
 };
 
 template <typename KeyAt>

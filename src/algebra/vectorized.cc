@@ -140,6 +140,18 @@ const VecInstruments& VectorizeInstruments() {
 /// first `Rebind`s the leaves to this instant's inputs and ends with
 /// `Reset`, which returns the cursor to its prepared state and frees
 /// whatever the run held in proportion to its rows.
+class Cursor;
+
+/// Sees every batch a σ stage of an incremental prefix emits
+/// (`IncrementalCursor`), tagged with the stage's σ ordinal.
+class StageTap {
+ public:
+  virtual void Observe(std::size_t stage, const TupleBatch& batch) = 0;
+
+ protected:
+  ~StageTap() = default;
+};
+
 class Cursor {
  public:
   Cursor(const PlanNode* node, ExtendedSchemaPtr schema, bool native)
@@ -157,6 +169,7 @@ class Cursor {
     } else if (*batch != nullptr) {
       rows_out += (*batch)->size();
       ++batches_out;
+      if (tap != nullptr) tap->Observe(tap_stage, **batch);
     }
     return batch;
   }
@@ -190,6 +203,16 @@ class Cursor {
   /// pipeline must then be rebuilt.
   virtual bool Rebind(EvalContext& /*ctx*/) { return true; }
 
+  /// The input of a unary chain stage (σ, π, ρ, α); nullptr for every
+  /// other cursor.
+  virtual Cursor* input() const { return nullptr; }
+
+  /// Rows and batches this run actually produced, for the
+  /// `serena.vectorize.*` counters: `rows_out`/`batches_out`, except for
+  /// an incremental prefix, which serves cached rows it did not compute.
+  virtual std::uint64_t work_rows() const { return rows_out; }
+  virtual std::uint64_t work_batches() const { return batches_out; }
+
   /// Returns the cursor to its prepared state after a run.
   void Reset() {
     started = false;
@@ -211,6 +234,9 @@ class Cursor {
   bool failed = false;
   std::uint64_t rows_out = 0;
   std::uint64_t batches_out = 0;
+  /// Set on the σ stages of an incremental prefix: sees their batches.
+  StageTap* tap = nullptr;
+  std::size_t tap_stage = 0;
 
  protected:
   virtual Result<TupleBatch*> NextImpl(EvalContext& ctx) = 0;
@@ -322,8 +348,10 @@ class ScanCursor final : public Cursor {
 /// nor the terminal collect re-hashes a stream tuple.
 ///
 /// The slice is read on the first pull of a run, into one exactly sized
-/// allocation that is deduplicated in place, and freed when the run ends:
-/// a window holds no row-sized storage between instants.
+/// allocation that is deduplicated in place, and freed when the run ends.
+/// Under an incremental prefix the window instead serves the one
+/// instant's rows the prefix hands it (`Serve`), and the prefix keeps the
+/// window's state between instants (`IncrementalCursor`).
 class WindowCursor final : public Cursor {
  public:
   WindowCursor(const WindowNode* node, ExtendedSchemaPtr schema,
@@ -339,14 +367,25 @@ class WindowCursor final : public Cursor {
     return true;
   }
 
+  const WindowNode& window() const {
+    return *static_cast<const WindowNode*>(node);
+  }
+  /// The stream the last `Rebind` bound.
+  const XDRelation& stream() const { return *stream_; }
+
+  /// Makes this run serve `rows` (distinct, in stream order) instead of
+  /// reading the window.
+  void Serve(const std::vector<HashedTupleRef>* rows) { rows_ = rows; }
+
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
-    if (!loaded_) Load(ctx.instant);
-    if (pos_ >= kept_.size()) return {nullptr};
+    if (rows_ == nullptr) Load(ctx.instant);
+    const std::vector<HashedTupleRef>& rows = *rows_;
+    if (pos_ >= rows.size()) return {nullptr};
     out_.Clear();
-    const std::size_t n = std::min(batch_size_, kept_.size() - pos_);
+    const std::size_t n = std::min(batch_size_, rows.size() - pos_);
     for (std::size_t i = 0; i < n; ++i) {
-      const HashedTupleRef& ref = kept_[pos_ + i];
+      const HashedTupleRef& ref = rows[pos_ + i];
       out_.AppendRef(ref.tuple, ref.hash);
     }
     pos_ += n;
@@ -355,21 +394,17 @@ class WindowCursor final : public Cursor {
 
   void ResetImpl() override {
     std::vector<HashedTupleRef>().swap(kept_);
-    loaded_ = false;
+    rows_ = nullptr;
     pos_ = 0;
   }
 
  private:
-  const WindowNode& window() const {
-    return *static_cast<const WindowNode*>(node);
-  }
-
   /// Reads the slice at `instant` and keeps the first occurrence of each
   /// tuple, exactly like the scalar window's insertions into its
   /// X-Relation, on the same flat index. The entries carry their
   /// append-time hashes, so no tuple is hashed here.
   void Load(Timestamp instant) {
-    loaded_ = true;
+    rows_ = &kept_;
     if (window().mode() == WindowMode::kTime) {
       stream_->CollectInsertedDuring(instant - window().period(), instant,
                                      &kept_);
@@ -396,7 +431,8 @@ class WindowCursor final : public Cursor {
   TupleBatch out_;
   std::size_t batch_size_;
   std::vector<HashedTupleRef> kept_;
-  bool loaded_ = false;
+  /// What this run serves: `kept_` once loaded, or a prefix's slice.
+  const std::vector<HashedTupleRef>* rows_ = nullptr;
   std::size_t pos_ = 0;
 };
 
@@ -472,6 +508,8 @@ class FilterCursor final : public Cursor {
         conjuncts_(std::move(conjuncts)),
         predicate_(std::move(predicate)) {}
 
+  Cursor* input() const override { return child_; }
+
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     // One child batch per fill: survivor pointers borrow the child
@@ -525,6 +563,8 @@ class ProjectCursor final : public Cursor {
       : Cursor(node, std::move(schema), /*native=*/true),
         child_(child),
         coords_(std::move(coords)) {}
+
+  Cursor* input() const override { return child_; }
 
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
@@ -590,6 +630,8 @@ class RenameCursor final : public Cursor {
   RenameCursor(const PlanNode* node, ExtendedSchemaPtr schema, Cursor* child)
       : Cursor(node, std::move(schema), /*native=*/true), child_(child) {}
 
+  Cursor* input() const override { return child_; }
+
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
     return child_->Next(ctx);
@@ -618,6 +660,8 @@ class AssignCursor final : public Cursor {
         plan_(std::move(plan)),
         source_coord_(source_coord),
         constant_(std::move(constant)) {}
+
+  Cursor* input() const override { return child_; }
 
  protected:
   Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
@@ -862,6 +906,374 @@ class JoinCursor final : public Cursor {
   std::size_t i2_ = 0;
 };
 
+/// The incremental prefix (docs/VECTORIZATION.md, "Incremental windows"):
+/// a σ/ρ chain over a time window of period > 1 in a kept pipeline,
+/// evaluated by §4.2's delta rule. σ and ρ distribute over union and act
+/// row by row, and the window keeps first occurrences, so the chain's
+/// output at τ is its outputs over the window's instants, concatenated
+/// oldest first and deduplicated. The cursor caches each instant's
+/// evaluation (a *slice*: the instant's distinct rows, borrowed from the
+/// stream, each with how many of the chain's σ stages it passes — seen
+/// through the σ stages' taps). A run
+///   - checks each cached slice against the stream's entry count at its
+///     instant (a late append, a prune or a re-created stream drops the
+///     whole cache, and the chain re-reads the retained history),
+///   - drops the slices that left the window,
+///   - runs the chain on each instant not cached yet — in steady state
+///     only the arriving one — and caches it once it succeeded,
+///   - serves the rows of the cached slices that pass every σ, oldest
+///     first, deduplicated through one `FlatTupleIndex` (or the
+///     collecting relation's own index).
+/// An instant whose chain fails drops the cache, and the run falls back
+/// to the full re-scan, which fails exactly as the scalar path does.
+///
+/// Per-stage statistics stay those of the full re-scan: a stage's rows
+/// are its distinct rows over the whole window (its *logical* count).
+/// One index over the window's distinct rows, each pointing at its newest
+/// occurrence, counts them as slices enter and leave; per σ stage a
+/// counter holds how many of them pass it; ρ keeps its input's count.
+/// Batches, wall time and `serena.vectorize.rows` report the instants
+/// actually evaluated.
+///
+/// A π or α above the chain reads its served rows every run: caching
+/// their output would copy every row of the window into the result
+/// anyway, on top of building the arriving rows.
+class IncrementalCursor final : public Cursor, public StageTap {
+ public:
+  /// Most σ stages a prefix counts (a slice row's depth is a byte).
+  static constexpr std::size_t kMaxSelects = 255;
+  /// Longest period a prefix caches: at most that many slices are live,
+  /// and a slice's slot must fit the high byte of an index position.
+  static constexpr Timestamp kMaxPeriod = 254;
+
+  IncrementalCursor(WindowCursor* window, std::vector<Cursor*> stages,
+                    std::size_t batch_size)
+      : Cursor(stages.back()->node, stages.back()->schema, /*native=*/false),
+        window_(window),
+        stages_(std::move(stages)),
+        top_(stages_.back()),
+        batch_size_(batch_size) {
+    for (Cursor* stage : stages_) {
+      if (stage->node->kind() != PlanKind::kSelect) continue;
+      stage->tap = this;
+      stage->tap_stage = ++selects_;
+    }
+    selected_.assign(selects_ + 1, 0);
+    tap_pos_.assign(selects_ + 1, 0);
+    stage_batches_.assign(stages_.size() + 1, 0);
+  }
+
+  /// False when the pipeline is not kept: every run re-scans.
+  void set_active(bool active) { active_ = active; }
+
+  void Observe(std::size_t stage, const TupleBatch& batch) override {
+    if (evaluating_ == nullptr) return;
+    // A σ emits a subsequence of the slice's rows, as the same pointers.
+    const std::vector<HashedTupleRef>& rows = evaluating_->rows;
+    std::size_t& pos = tap_pos_[stage];
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Tuple* row = &batch.at(i);
+      while (rows[pos].tuple != row) ++pos;
+      assert(pos < rows.size());
+      evaluating_->depth[pos++] = static_cast<std::uint8_t>(stage);
+    }
+  }
+
+  std::uint64_t work_rows() const override {
+    return mode_ == Mode::kFull ? top_->rows_out : top_rows_;
+  }
+  std::uint64_t work_batches() const override {
+    return mode_ == Mode::kFull ? top_->batches_out : top_batches_;
+  }
+
+ protected:
+  Result<TupleBatch*> NextImpl(EvalContext& ctx) override {
+    if (mode_ == Mode::kIdle) Open(ctx);
+    if (mode_ == Mode::kFull) return top_->Next(ctx);
+    const auto served_at = [this](std::size_t position) -> const Tuple& {
+      return *served_[position];
+    };
+    out_.Clear();
+    while (serve_slice_ < live_.size() && out_.size() < batch_size_) {
+      const Slice& slice = slots_[live_[serve_slice_]];
+      if (serve_row_ == slice.rows.size()) {
+        ++serve_slice_;
+        serve_row_ = 0;
+        continue;
+      }
+      const std::size_t row = serve_row_++;
+      if (slice.depth[row] != selects_) continue;
+      const HashedTupleRef ref = slice.rows[row];
+      if (served_index_.Insert(*ref.tuple, ref.hash, served_.size(),
+                               served_at)) {
+        served_.push_back(ref.tuple);
+        out_.AppendRef(ref.tuple, ref.hash);
+      }
+    }
+    if (out_.empty()) {
+      assert(top_->rows_out == served_.size() && "a prefix lost count");
+      return {nullptr};
+    }
+    return {&out_};
+  }
+
+  Status CollectImpl(XRelation* out, EvalContext& ctx) override {
+    if (mode_ == Mode::kIdle) Open(ctx);
+    if (mode_ == Mode::kFull) return top_->CollectInto(out, ctx);
+    std::uint64_t inserted = 0;
+    for (const std::uint32_t live : live_) {
+      const Slice& slice = slots_[live];
+      for (std::size_t row = 0; row < slice.rows.size(); ++row) {
+        if (slice.depth[row] != selects_) continue;
+        const HashedTupleRef& ref = slice.rows[row];
+        if (out->InsertHashed(*ref.tuple, ref.hash)) ++inserted;
+      }
+    }
+    rows_out += inserted;
+    assert(top_->rows_out == inserted && "a prefix lost count");
+    return Status::OK();
+  }
+
+  void ResetImpl() override {
+    mode_ = Mode::kIdle;
+    serve_slice_ = 0;
+    serve_row_ = 0;
+    top_rows_ = 0;
+    top_batches_ = 0;
+  }
+
+ private:
+  enum class Mode { kIdle, kServe, kFull };
+
+  /// One cached instant.
+  struct Slice {
+    Timestamp instant = 0;
+    /// The stream's entries at `instant` when the slice was evaluated.
+    std::size_t entries = 0;
+    /// The instant's distinct rows, in stream order.
+    std::vector<HashedTupleRef> rows;
+    /// Per row, the σ stages it passes: it reaches σ `depth` and no
+    /// further (`selects_` = every one: the row is the chain's output).
+    std::vector<std::uint8_t> depth;
+  };
+
+  /// Index positions: a slice's slot in the high bits, a row below.
+  static constexpr unsigned kRowBits = 24;
+  static constexpr std::size_t kMaxRows = std::size_t{1} << kRowBits;
+  static std::size_t Position(std::size_t slot, std::size_t row) {
+    return slot << kRowBits | row;
+  }
+
+  /// The row an index position names.
+  const Tuple& RowAt(std::size_t position) const {
+    return *slots_[position >> kRowBits].rows[position & (kMaxRows - 1)].tuple;
+  }
+
+  /// Brings the cache up to `ctx.instant`. False when an instant's chain
+  /// failed: the cache is then empty and the run re-scans.
+  bool Advance(EvalContext& ctx) {
+    const XDRelation& stream = window_->stream();
+    if (stream.id() != stream_id_) {
+      Drop();
+      stream_id_ = stream.id();
+    }
+    const Timestamp to = ctx.instant;
+    const Timestamp from = to - window_->window().period();
+    counts_.clear();
+    stream.CountByInstant(
+        live_.empty() ? from
+                      : std::min(from, slots_[live_.front()].instant - 1),
+        to, &counts_);
+    // The cached slices must still be the stream's first instants here,
+    // entry for entry: a late append or a prune drops them all.
+    std::size_t next = live_.size();
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      const Slice& slice = slots_[live_[i]];
+      if (i == counts_.size() || counts_[i].first != slice.instant ||
+          counts_[i].second != slice.entries) {
+        Drop();
+        next = 0;
+        break;
+      }
+    }
+    while (!live_.empty() && slots_[live_.front()].instant <= from) Retire();
+    for (; next < counts_.size(); ++next) {
+      const auto [instant, entries] = counts_[next];
+      if (instant <= from) continue;
+      if (!Evaluate(instant, entries, ctx)) {
+        Drop();
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Runs the chain on the rows inserted at `instant` and caches the
+  /// result. False (with the cache to be dropped) when the chain failed,
+  /// or the instant has too many rows for an index position.
+  bool Evaluate(Timestamp instant, std::size_t entries, EvalContext& ctx) {
+    if (entries >= kMaxRows) return false;
+    // At most `kMaxPeriod` slices are live at once (`Seal`).
+    std::size_t slot = slots_.size();
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      slots_.emplace_back();
+    }
+    live_.push_back(static_cast<std::uint32_t>(slot));
+    Slice& slice = slots_[slot];
+    slice.instant = instant;
+    slice.entries = entries;
+    slice.rows.clear();
+    window_->stream().CollectInsertedDuring(instant - 1, instant, &slice.rows);
+    // First occurrences within the instant; the index points at each
+    // row's newest occurrence in the window.
+    fresh_.clear();
+    const auto row_at = [this](std::size_t position) -> const Tuple& {
+      return RowAt(position);
+    };
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < slice.rows.size(); ++i) {
+      const HashedTupleRef ref = slice.rows[i];
+      const std::size_t position = Position(slot, kept);
+      const auto [found, inserted] =
+          index_.FindOrInsert(ref.hash, position, [&](std::size_t p) {
+            return row_at(p) == *ref.tuple;
+          });
+      if (inserted) {
+        fresh_.push_back(kept);
+      } else if (found >> kRowBits == slot) {
+        continue;  // Seen earlier in this instant.
+      } else {
+        index_.Relocate(ref.hash, found, position);
+      }
+      slice.rows[kept++] = ref;
+    }
+    slice.rows.resize(kept);
+    slice.depth.assign(kept, 0);
+    std::fill(tap_pos_.begin(), tap_pos_.end(), 0);
+
+    window_->Serve(&slice.rows);
+    evaluating_ = &slice;
+    const Status status = Drain(ctx);
+    evaluating_ = nullptr;
+    stage_batches_[0] += window_->batches_out;
+    window_->Reset();
+    for (std::size_t i = 0; i < stages_.size(); ++i) {
+      stage_batches_[i + 1] += stages_[i]->batches_out;
+    }
+    top_rows_ += top_->rows_out;
+    top_batches_ += top_->batches_out;
+    for (Cursor* stage : stages_) stage->Reset();
+    if (!status.ok()) return false;
+    for (const std::size_t row : fresh_) {
+      for (std::uint8_t s = 1; s <= slice.depth[row]; ++s) ++selected_[s];
+    }
+    return true;
+  }
+
+  /// Pulls the chain's output for the instant being evaluated: the σ
+  /// taps record which rows pass.
+  Status Drain(EvalContext& ctx) {
+    for (;;) {
+      SERENA_ASSIGN_OR_RETURN(const TupleBatch* batch, top_->Next(ctx));
+      if (batch == nullptr) return Status::OK();
+    }
+  }
+
+  /// Drops the oldest slice, and with it the rows whose newest occurrence
+  /// it held.
+  void Retire() {
+    const std::uint32_t slot = live_.front();
+    const Slice& slice = slots_[slot];
+    for (std::size_t row = 0; row < slice.rows.size(); ++row) {
+      if (!index_.ErasePosition(slice.rows[row].hash, Position(slot, row))) {
+        continue;  // A newer slice holds the row too.
+      }
+      for (std::uint8_t s = 1; s <= slice.depth[row]; ++s) --selected_[s];
+    }
+    free_slots_.push_back(slot);
+    live_.erase(live_.begin());
+  }
+
+  /// Empties the cache without reading a row (its rows may be gone).
+  void Drop() {
+    for (const std::uint32_t live : live_) free_slots_.push_back(live);
+    live_.clear();
+    index_.Clear();
+    std::fill(selected_.begin(), selected_.end(), 0);
+  }
+
+  void Open(EvalContext& ctx) {
+    mode_ = Mode::kServe;
+    served_.clear();
+    served_index_.Clear();
+    std::fill(stage_batches_.begin(), stage_batches_.end(), 0);
+    if (!active_ || !Advance(ctx)) {
+      top_rows_ = 0;
+      top_batches_ = 0;
+      mode_ = Mode::kFull;
+      return;
+    }
+    SetStats();
+  }
+
+  /// Leaves each stage's statistics as the full re-scan would: its
+  /// logical rows, and the batches the evaluated instants emitted. Set
+  /// before serving, so a consumer failing midway sees the chain fully
+  /// evaluated, as the scalar path does.
+  void SetStats() {
+    std::uint64_t rows = index_.size();
+    window_->started = true;
+    window_->rows_out = rows;
+    window_->batches_out = stage_batches_[0];
+    for (std::size_t i = 0; i < stages_.size(); ++i) {
+      Cursor* stage = stages_[i];
+      // ρ keeps its input's rows.
+      if (stage->tap != nullptr) rows = selected_[stage->tap_stage];
+      stage->started = true;
+      stage->rows_out = rows;
+      stage->batches_out = stage_batches_[i + 1];
+    }
+  }
+
+  WindowCursor* window_;
+  /// The chain's stages, leaves first; `top_` is the last.
+  std::vector<Cursor*> stages_;
+  Cursor* top_;
+  std::size_t batch_size_;
+  /// The chain's σ stages (their taps are numbered 1..selects_).
+  std::size_t selects_ = 0;
+  bool active_ = true;
+
+  // The cache.
+  std::uint64_t stream_id_ = 0;
+  std::vector<Slice> slots_;
+  std::vector<std::uint32_t> live_;  // Slots of the cached slices, oldest first.
+  std::vector<std::uint32_t> free_slots_;
+  FlatTupleIndex index_;  // The window's distinct rows.
+  /// Per σ ordinal (from 1): the window's distinct rows passing it.
+  std::vector<std::uint64_t> selected_;
+
+  // Per instant evaluated.
+  std::vector<std::pair<Timestamp, std::size_t>> counts_;
+  std::vector<std::size_t> fresh_;  // Rows new to the window.
+  std::vector<std::size_t> tap_pos_;  // Per σ ordinal.
+  Slice* evaluating_ = nullptr;
+
+  // Per run.
+  Mode mode_ = Mode::kIdle;
+  std::vector<std::uint64_t> stage_batches_;
+  std::uint64_t top_rows_ = 0;
+  std::uint64_t top_batches_ = 0;
+  TupleBatch out_;
+  std::vector<const Tuple*> served_;
+  FlatTupleIndex served_index_;
+  std::size_t serve_slice_ = 0;
+  std::size_t serve_row_ = 0;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -891,6 +1303,11 @@ struct PreparedPipeline {
   /// True when a stage is an `OpaqueCursor`: such a pipeline is never
   /// kept.
   bool opaque = false;
+  /// True when the pipeline is prepared to be kept (a standing query's):
+  /// only then do window chains become incremental prefixes.
+  bool incremental = false;
+  /// The incremental prefixes among `cursors`.
+  std::vector<IncrementalCursor*> prefixes;
   /// The fused stages, leaves first (e.g. "window,select", or
   /// "window,select,aggregate" under a folding γ) — the detail of the
   /// pipeline's `vec.pipeline` span.
@@ -911,6 +1328,41 @@ CursorT* AddCursor(PreparedPipeline* pipeline, Args&&... args) {
   }
   pipeline->cursors.push_back(std::move(cursor));
   return static_cast<CursorT*>(pipeline->cursors.back().get());
+}
+
+/// Wraps `top` in an incremental prefix when `pipeline` is to be kept
+/// and `top` heads a σ/ρ chain over a time window of period > 1;
+/// otherwise returns `top`. Called where such a chain ends: at the
+/// pipeline's root, a join side, and below a π or α.
+Cursor* Seal(Cursor* top, PreparedPipeline* pipeline) {
+  if (top == nullptr || !pipeline->incremental || top->input() == nullptr) {
+    return top;
+  }
+  std::vector<Cursor*> stages;
+  Cursor* leaf = top;
+  for (; leaf->input() != nullptr; leaf = leaf->input()) {
+    const PlanKind kind = leaf->node->kind();
+    if (kind != PlanKind::kSelect && kind != PlanKind::kRename) return top;
+    stages.push_back(leaf);
+  }
+  if (leaf->node->kind() != PlanKind::kWindow) return top;
+  auto* window = static_cast<WindowCursor*>(leaf);
+  const auto selects =
+      std::count_if(stages.begin(), stages.end(), [](const Cursor* stage) {
+        return stage->node->kind() == PlanKind::kSelect;
+      });
+  if (window->window().mode() != WindowMode::kTime ||
+      window->window().period() <= 1 ||
+      window->window().period() > IncrementalCursor::kMaxPeriod ||
+      static_cast<std::size_t>(selects) > IncrementalCursor::kMaxSelects) {
+    return top;
+  }
+  std::reverse(stages.begin(), stages.end());
+  auto* prefix = AddCursor<IncrementalCursor>(pipeline, window,
+                                              std::move(stages),
+                                              pipeline->batch_size);
+  pipeline->prefixes.push_back(prefix);
+  return prefix;
 }
 
 /// Builds the cursor for `node` (recursively for fusable subtrees).
@@ -967,7 +1419,8 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
     }
     case PlanKind::kProject: {
       const auto& project = static_cast<const ProjectNode&>(node);
-      Cursor* child = BuildCursor(*project.child(), ctx, pipeline);
+      Cursor* child = Seal(BuildCursor(*project.child(), ctx, pipeline),
+                           pipeline);
       if (child == nullptr) return nullptr;
       Result<ExtendedSchemaPtr> schema =
           ProjectSchema(child->schema, project.attributes());
@@ -995,7 +1448,8 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
       const auto& assign = static_cast<const AssignNode&>(node);
       // Unbound parameters fail at runtime on the scalar path; let it.
       if (assign.from_parameter()) return nullptr;
-      Cursor* child = BuildCursor(*assign.child(), ctx, pipeline);
+      Cursor* child = Seal(BuildCursor(*assign.child(), ctx, pipeline),
+                           pipeline);
       if (child == nullptr) return nullptr;
       std::optional<std::size_t> source_coord;
       std::optional<Value> constant;
@@ -1026,9 +1480,10 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
     }
     case PlanKind::kJoin: {
       const auto& join = static_cast<const JoinNode&>(node);
-      Cursor* left = BuildCursor(*join.left(), ctx, pipeline);
+      Cursor* left = Seal(BuildCursor(*join.left(), ctx, pipeline), pipeline);
       if (left == nullptr) return nullptr;
-      Cursor* right = BuildCursor(*join.right(), ctx, pipeline);
+      Cursor* right =
+          Seal(BuildCursor(*join.right(), ctx, pipeline), pipeline);
       if (right == nullptr) return nullptr;
       Result<JoinSpec> spec = JoinSpec::Resolve(left->schema, right->schema);
       if (!spec.ok()) return nullptr;
@@ -1052,21 +1507,30 @@ Cursor* BuildCursor(const PlanNode& node, EvalContext& ctx,
 
 /// The one pipeline builder: the cursors of the pipeline rooted at
 /// `node` against `ctx`'s environment, statistics record and batch size,
-/// or nullptr when it cannot be built (see `BuildCursor`).
+/// or nullptr when it cannot be built (see `BuildCursor`). A pipeline
+/// prepared to be kept gets incremental window prefixes.
 std::unique_ptr<PreparedPipeline> Prepare(const PlanNode& node,
-                                          EvalContext& ctx) {
+                                          EvalContext& ctx, bool keep) {
   auto pipeline = std::make_unique<PreparedPipeline>();
   pipeline->node = &node;
   pipeline->stats = ctx.stats;
   pipeline->batch_size = BatchSize();
+  pipeline->incremental = keep;
   // γ is no cursor: it folds its child's pipeline into an Aggregator.
   const auto* fold = node.kind() == PlanKind::kAggregate
                          ? &static_cast<const AggregateNode&>(node)
                          : nullptr;
   pipeline->root =
-      BuildCursor(fold != nullptr ? *fold->child() : node, ctx,
-                  pipeline.get());
+      Seal(BuildCursor(fold != nullptr ? *fold->child() : node, ctx,
+                       pipeline.get()),
+           pipeline.get());
   if (pipeline->root == nullptr) return nullptr;
+  // An opaque stage keeps the pipeline from being kept: no cache to reuse.
+  if (pipeline->opaque) {
+    for (IncrementalCursor* prefix : pipeline->prefixes) {
+      prefix->set_active(false);
+    }
+  }
   if (fold != nullptr) {
     Result<Aggregator> created = Aggregator::Create(
         pipeline->root->schema, fold->group_by(), fold->aggregates());
@@ -1119,8 +1583,8 @@ void CountPipeline(const PreparedPipeline& pipeline) {
   const VecInstruments& instruments = VectorizeInstruments();
   instruments.pipelines->Increment();
   instruments.fused_ops->Increment(pipeline.fused_ops);
-  instruments.batches->Increment(pipeline.root->batches_out);
-  instruments.rows->Increment(pipeline.root->rows_out);
+  instruments.batches->Increment(pipeline.root->work_batches());
+  instruments.rows->Increment(pipeline.root->work_rows());
 }
 
 /// Runs `pipeline`'s terminal: the collect, or γ's fold — in place, pair
@@ -1208,7 +1672,8 @@ std::optional<Result<XRelation>> TryExecute(const PlanNode& node,
     slot->reset();  // Its inputs changed under it: prepare it afresh.
   }
 
-  std::unique_ptr<PreparedPipeline> pipeline = Prepare(node, ctx);
+  std::unique_ptr<PreparedPipeline> pipeline =
+      Prepare(node, ctx, /*keep=*/slot != nullptr);
   if (pipeline == nullptr) return std::nullopt;
   std::optional<Result<XRelation>> result = Run(*pipeline, ctx);
   if (result.has_value() && slot != nullptr && !pipeline->opaque) {

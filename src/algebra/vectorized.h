@@ -72,7 +72,10 @@ struct PreparedPipeline;
 /// ordinal in the `PlanStats` an evaluation records into (`ctx.stats`).
 /// A slot is filled at the node's first evaluation and rebuilt only when
 /// a leaf's relation or stream schema, or `BatchSize()`, changed since.
-/// Pipelines holding an opaque (scalar) stage are never kept.
+/// Pipelines holding an opaque (scalar) stage are never kept. A kept
+/// pipeline's σ/ρ chains over time windows are incremental: they keep
+/// each instant's evaluation and run only on arriving instants
+/// (docs/VECTORIZATION.md, "Incremental windows").
 ///
 /// Not thread-safe: only the thread stepping the query uses it.
 class PipelineCache {

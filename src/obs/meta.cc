@@ -140,22 +140,56 @@ Status RefreshSpans(Environment* env) {
   return env->PutRelation(std::move(relation));
 }
 
+/// Columns of a `sys_query_health` row (`QueryHealthSchema`).
+constexpr std::size_t kHealthColumns = 10;
+
+/// Writes `query`'s statistics into its `sys_query_health` row, whose
+/// first value is the query's name.
+void WriteHealthRow(const QueryHealth::QuerySnapshot& query, Tuple* row) {
+  (*row)[1] = Value::Int(query.last_completed_instant);
+  (*row)[2] = Value::Int(query.lag);
+  (*row)[3] = IntValue(query.error_streak);
+  (*row)[4] = IntValue(query.total_errors);
+  (*row)[5] = IntValue(query.steps);
+  (*row)[6] = IntValue(query.p50_step_ns);
+  (*row)[7] = IntValue(query.p99_step_ns);
+  (*row)[8] = Value::Real(query.rows_in_rate);
+  (*row)[9] = Value::Real(query.rows_out_rate);
+}
+
 Status RefreshQueryHealth(Environment* env, const QueryHealth* health) {
-  SERENA_ASSIGN_OR_RETURN(const XRelation* existing,
-                          env->GetRelation(kSysQueryHealthRelation));
+  SERENA_ASSIGN_OR_RETURN(XRelation * existing,
+                          env->GetMutableRelation(kSysQueryHealthRelation));
+  // The same queries as at the last refresh (rows in name order): their
+  // rows are overwritten in place and re-indexed, with no tuple built.
+  if (health != nullptr) {
+    std::size_t row = 0;
+    bool same = true;
+    health->ForEach([&](const QueryHealth::QuerySnapshot& query) {
+      if (!same) return;
+      if (row == existing->size() ||
+          !existing->tuples()[row][0].is_string() ||
+          existing->tuples()[row][0].string_value() != query.name) {
+        same = false;
+        return;
+      }
+      WriteHealthRow(query, &existing->MutableTupleAt(row++));
+    });
+    if (same && row == existing->size()) {
+      existing->Reindex();
+      return Status::OK();
+    }
+  }
+  // A query registered or unregistered since: rebuild every row.
   XRelation relation(existing->schema_ptr());
   if (health != nullptr) {
     // Rows straight from the per-query records, in name order.
     relation.Reserve(health->size());
     health->ForEach([&relation](const QueryHealth::QuerySnapshot& query) {
-      relation.InsertUnchecked(
-          Tuple{Value::String(query.name),
-                Value::Int(query.last_completed_instant),
-                Value::Int(query.lag), IntValue(query.error_streak),
-                IntValue(query.total_errors), IntValue(query.steps),
-                IntValue(query.p50_step_ns), IntValue(query.p99_step_ns),
-                Value::Real(query.rows_in_rate),
-                Value::Real(query.rows_out_rate)});
+      Tuple row{std::vector<Value>(kHealthColumns)};
+      row[0] = Value::String(query.name);
+      WriteHealthRow(query, &row);
+      relation.InsertUnchecked(std::move(row));
     });
   }
   return env->PutRelation(std::move(relation));

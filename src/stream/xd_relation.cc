@@ -1,13 +1,19 @@
 #include "stream/xd_relation.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/logging.h"
 
 namespace serena {
 
+namespace {
+std::atomic<std::uint64_t> g_next_stream_id{1};
+}  // namespace
+
 XDRelation::XDRelation(ExtendedSchemaPtr schema)
-    : schema_(std::move(schema)) {
+    : schema_(std::move(schema)),
+      id_(g_next_stream_id.fetch_add(1, std::memory_order_relaxed)) {
   SERENA_CHECK(schema_ != nullptr);
 }
 
@@ -89,6 +95,23 @@ void XDRelation::CollectLastInserted(std::size_t count,
   out->reserve(out->size() + take);
   for (auto it = end - static_cast<std::ptrdiff_t>(take); it != end; ++it) {
     out->push_back(HashedTupleRef{&it->tuple, it->hash});
+  }
+}
+
+void XDRelation::CountByInstant(
+    Timestamp from_exclusive, Timestamp to_inclusive,
+    std::vector<std::pair<Timestamp, std::size_t>>* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto after = [](Timestamp t, const Entry& entry) {
+    return t < entry.instant;
+  };
+  auto it =
+      std::upper_bound(entries_.begin(), entries_.end(), from_exclusive, after);
+  const auto end = std::upper_bound(it, entries_.end(), to_inclusive, after);
+  while (it != end) {
+    const auto next = std::upper_bound(it, end, it->instant, after);
+    out->emplace_back(it->instant, static_cast<std::size_t>(next - it));
+    it = next;
   }
 }
 

@@ -52,6 +52,10 @@ class XDRelation {
   const ExtendedSchema& schema() const { return *schema_; }
   const ExtendedSchemaPtr& schema_ptr() const { return schema_; }
 
+  /// A process-wide unique identity: a stream dropped and re-created has
+  /// another one, even at the same address.
+  std::uint64_t id() const { return id_; }
+
   /// Appends a tuple at instant `t`. Instants must be non-decreasing
   /// (append-only streams cannot rewrite the past). Validates the tuple
   /// against the schema's real attributes.
@@ -79,6 +83,15 @@ class XDRelation {
                              std::vector<HashedTupleRef>* out) const;
   void CollectLastInserted(std::size_t count, Timestamp to_inclusive,
                            std::vector<HashedTupleRef>* out) const;
+
+  /// Appends (instant, entries inserted at it) for every instant in
+  /// (from_exclusive, to_inclusive] that has entries, oldest first —
+  /// found by the binary searches `CollectInsertedDuring` uses, one per
+  /// instant, so an incremental window checks its cached slices without
+  /// reading a row.
+  void CountByInstant(Timestamp from_exclusive, Timestamp to_inclusive,
+                      std::vector<std::pair<Timestamp, std::size_t>>* out)
+      const;
 
   /// Every retained insertion as (instant, tuple) copies, oldest first —
   /// the flight recorder snapshots this into segment headers so windows
@@ -124,6 +137,7 @@ class XDRelation {
   };
 
   ExtendedSchemaPtr schema_;
+  std::uint64_t id_;
   mutable std::mutex mu_;
   std::deque<Entry> entries_;  // Sorted by instant.
 };

@@ -122,6 +122,18 @@ class FlatTupleIndex {
     return position;
   }
 
+  /// Removes the entry at `position`, whose tuple hashes to `hash`, and
+  /// returns true; false when no entry tagged like `hash` is there. No
+  /// tuple is read.
+  bool ErasePosition(std::uint64_t hash, std::size_t position) {
+    if (slots_.empty()) return false;
+    const std::size_t slot =
+        Probe(hash, [position](std::size_t p) { return p == position; });
+    if (slots_[slot].position == kEmpty) return false;
+    RemoveSlot(slot);
+    return true;
+  }
+
   /// Repoints the entry at position `from` (whose tuple hashes to `hash`)
   /// to position `to`, for callers that move a stored tuple.
   void Relocate(std::uint64_t hash, std::size_t from, std::size_t to);

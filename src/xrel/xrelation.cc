@@ -57,6 +57,16 @@ void XRelation::Clear() {
   index_.Clear();
 }
 
+void XRelation::Reindex() {
+  index_.Clear();
+  for (std::size_t i = 0; i < tuples_.size(); ++i) {
+    const bool distinct =
+        index_.Insert(tuples_[i], tuples_[i].Hash(), i, TupleAt());
+    assert(distinct && "rows rewritten in place collided");
+    (void)distinct;
+  }
+}
+
 Result<Value> XRelation::ProjectValue(const Tuple& tuple,
                                       std::string_view attribute) const {
   const auto coord = schema_->CoordinateOf(attribute);

@@ -59,6 +59,15 @@ class XRelation {
 
   void Clear();
 
+  /// Tuple `position`, for a caller that overwrites rows in place (the
+  /// meta-relation refresh). The rows must stay distinct and conform to
+  /// the schema, and `Reindex` must run before the relation is read.
+  Tuple& MutableTupleAt(std::size_t position) { return tuples_[position]; }
+
+  /// Rebuilds the dedup index over the current rows, after in-place
+  /// overwrites.
+  void Reindex();
+
   /// t[A] for a real attribute A (Def. 4) on an arbitrary tuple of this
   /// relation's schema.
   Result<Value> ProjectValue(const Tuple& tuple,

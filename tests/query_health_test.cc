@@ -492,6 +492,78 @@ TEST(MetaRelationsTest, RefreshPopulatesMetricsAndHealthRows) {
   EXPECT_EQ(row[3].int_value(), 1);   // One failed step.
 }
 
+TEST(MetaRelationsTest, HealthRowsRewrittenInPlaceEqualAFreshRebuild) {
+  Environment env;
+  StreamStore streams;
+  ContinuousExecutor executor(&env, &streams);
+  ASSERT_TRUE(obs::RegisterMetaRelations(&env, &executor).ok());
+  XRelation items(ExtendedSchema::Create("items", {{"n", DataType::kInt}})
+                      .ValueOrDie());
+  for (int i = 0; i < 4; ++i) items.InsertUnchecked(Tuple{Value::Int(i)});
+  ASSERT_TRUE(env.PutRelation(std::move(items)).ok());
+  const auto add = [&executor](const std::string& name, PlanPtr plan) {
+    ASSERT_TRUE(executor
+                    .Register(std::make_shared<ContinuousQuery>(
+                        name, std::move(plan)))
+                    .ok());
+  };
+  add("all", Scan("items"));
+  add("broken", Scan("missing"));  // Fails at every step.
+
+  // What a refresh into an empty `sys_query_health` builds.
+  const auto rebuilt = [&executor] {
+    Environment fresh;
+    StreamStore fresh_streams;
+    ContinuousExecutor unused(&fresh, &fresh_streams);
+    EXPECT_TRUE(obs::RegisterMetaRelations(&fresh, &unused).ok());
+    EXPECT_TRUE(obs::RefreshMetaRelations(&fresh, &executor.health(),
+                                          {kSysQueryHealthRelation})
+                    .ok());
+    std::vector<std::string> rows;
+    for (const Tuple& row :
+         fresh.GetRelation(kSysQueryHealthRelation).ValueOrDie()->tuples()) {
+      rows.push_back(row.ToString());
+    }
+    return rows;
+  };
+  // Ticks, refreshes and compares; returns the rows' storage address.
+  const auto tick = [&] {
+    executor.Tick();
+    EXPECT_TRUE(obs::RefreshMetaRelations(&env, &executor.health(),
+                                          {kSysQueryHealthRelation})
+                    .ok());
+    const XRelation* relation =
+        env.GetRelation(kSysQueryHealthRelation).ValueOrDie();
+    std::vector<std::string> rows;
+    for (const Tuple& row : relation->tuples()) {
+      rows.push_back(row.ToString());
+      // The rewritten rows are re-indexed.
+      EXPECT_TRUE(relation->Contains(row)) << row.ToString();
+    }
+    EXPECT_EQ(rows, rebuilt()) << "t=" << executor.total_ticks();
+    return relation->tuples().data();
+  };
+
+  tick();
+  const Tuple* storage = tick();
+  EXPECT_EQ(tick(), storage);  // Same queries: rewritten in place.
+  add("few", Select(Scan("items"), Formula::Compare(Operand::Attr("n"),
+                                                    CompareOp::kLt,
+                                                    Operand::Const(
+                                                        Value::Int(2)))));
+  tick();  // Rebuilt with the new query's row.
+  storage = tick();
+  EXPECT_EQ(tick(), storage);
+  ASSERT_TRUE(executor.Unregister("all").ok());
+  tick();  // Rebuilt without it.
+  storage = tick();
+  EXPECT_EQ(tick(), storage);
+  ASSERT_TRUE(executor.Unregister("broken").ok());
+  ASSERT_TRUE(executor.Unregister("few").ok());
+  tick();
+  EXPECT_EQ(env.GetRelation(kSysQueryHealthRelation).ValueOrDie()->size(), 0u);
+}
+
 TEST(MetaRelationsTest, TickLeavesUnreadMetaRelationsAlone) {
   obs::MetricsRegistry::Global().set_enabled(true);
   obs::Counter& counter =
